@@ -533,7 +533,7 @@ func BenchmarkReadPath(b *testing.B) {
 // a pre-generated table and each worker recycles its op and result
 // slices through ApplyInto — so -benchmem measures the serving path,
 // not the load generator.
-func transportMix(b *testing.B, depth, keys, batchSize int,
+func transportMix(b *testing.B, depth, keys, batchSize int, writeFrac float64,
 	apply func([]cluster.Op, []cluster.OpResult) error) core.LatencySummary {
 	b.Helper()
 	keyTab := transportKeys(keys)
@@ -553,7 +553,7 @@ func transportMix(b *testing.B, depth, keys, batchSize int,
 				ops = ops[:0]
 				for len(ops) < batchSize {
 					key := keyTab[z.Uint64()]
-					if rng.Float64() < 0.95 {
+					if rng.Float64() >= writeFrac {
 						ops = append(ops, cluster.Op{Kind: cluster.OpGet, Key: key})
 					} else {
 						ops = append(ops, cluster.Op{Kind: cluster.OpPut, Key: key, Value: key})
@@ -584,6 +584,36 @@ func transportKeys(keys int) [][]byte {
 		tab[i] = []byte("tr-" + strconv.Itoa(i))
 	}
 	return tab
+}
+
+// transportShards stands up BenchmarkTransport's topology — a routing
+// coordinator at replication repl over two single-shard servers on
+// loopback TCP, conns connections each — and tears it down with b.
+func transportShards(b *testing.B, repl, conns int) (*cluster.Cluster, []*cluster.Cluster) {
+	b.Helper()
+	coord := cluster.NewEmpty(cluster.Config{Replication: repl})
+	b.Cleanup(coord.Close)
+	var backends []*cluster.Cluster
+	for s := 0; s < 2; s++ {
+		backend := cluster.New(cluster.Config{
+			Shards: 1, Engine: engine.Options{MemtableBytes: 256 << 10},
+		})
+		b.Cleanup(backend.Close)
+		backends = append(backends, backend)
+		srv, err := transport.Listen("127.0.0.1:0", backend, transport.ServerOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { srv.Close() })
+		rn, err := transport.Connect(srv.Addr(), transport.ClientOptions{Conns: conns})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := coord.AddRemote(rn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return coord, backends
 }
 
 // BenchmarkTransport sweeps the networked serving layer: pipelining
@@ -624,34 +654,45 @@ func BenchmarkTransport(b *testing.B) {
 				// internal/transport). Compare -benchmem output across
 				// changes.
 				b.ReportAllocs()
-				coord := cluster.NewEmpty(cluster.Config{})
-				defer coord.Close()
-				for s := 0; s < 2; s++ {
-					backend := cluster.New(cluster.Config{
-						Shards: 1, Engine: engine.Options{MemtableBytes: 256 << 10},
-					})
-					defer backend.Close()
-					srv, err := transport.Listen("127.0.0.1:0", backend, transport.ServerOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer srv.Close()
-					rn, err := transport.Connect(srv.Addr(), transport.ClientOptions{Conns: conns})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, _, err := coord.AddRemote(rn); err != nil {
-						b.Fatal(err)
-					}
-				}
+				coord, _ := transportShards(b, 1, conns)
 				preload(coord.Apply)
 				b.ResetTimer()
 				start := time.Now()
-				sum := transportMix(b, depth, keys, batchSize, coord.ApplyInto)
+				sum := transportMix(b, depth, keys, batchSize, 0.05, coord.ApplyInto)
 				report(b, sum, time.Since(start))
 			})
 		}
 	}
+	// The replicated-write point: half of every batch is writes and each
+	// write lands on both servers, so this is the rung that prices the
+	// replication pipeline (one primary and one mirror RPC per sub-batch).
+	// After the run the two stores must be identical, entry for entry.
+	b.Run("net/r=2/depth=8", func(b *testing.B) {
+		b.ReportAllocs()
+		coord, backends := transportShards(b, 2, 1)
+		preload(coord.Apply)
+		b.ResetTimer()
+		start := time.Now()
+		sum := transportMix(b, 8, keys, batchSize, 0.5, coord.ApplyInto)
+		report(b, sum, time.Since(start))
+		b.StopTimer()
+		left, err := backends[0].Scan(nil, keys+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		right, err := backends[1].Scan(nil, keys+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(left) != keys || len(right) != keys {
+			b.Fatalf("replicas hold %d and %d keys, want %d each", len(left), len(right), keys)
+		}
+		for i := range left {
+			if !bytes.Equal(left[i].Key, right[i].Key) || !bytes.Equal(left[i].Value, right[i].Value) {
+				b.Fatalf("replicas diverged at %q", left[i].Key)
+			}
+		}
+	})
 	for _, depth := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("inproc/depth=%d", depth), func(b *testing.B) {
 			coord := cluster.New(cluster.Config{
@@ -661,7 +702,7 @@ func BenchmarkTransport(b *testing.B) {
 			preload(coord.Apply)
 			b.ResetTimer()
 			start := time.Now()
-			sum := transportMix(b, depth, keys, batchSize, coord.ApplyInto)
+			sum := transportMix(b, depth, keys, batchSize, 0.05, coord.ApplyInto)
 			report(b, sum, time.Since(start))
 		})
 	}

@@ -688,9 +688,11 @@ func runTraceProbe(coord *cluster.Cluster, ring *obs.SpanLog, peers []*transport
 		Start: start, Dur: time.Since(start),
 	})
 	spans := ring.ByTrace(trace)
-	// Servers record their span after the response flush, so a fetch can
-	// outrun the ring: poll briefly per peer. A peer that owns no copy of
-	// the probe key times out empty, which assembles fine without it.
+	// A server records a hop's span before it answers, so every hop the
+	// probe waited for is already in its ring; the brief poll per peer
+	// only rides out a fetch that fails transiently. A peer that owns no
+	// copy of the probe key times out empty, which assembles fine
+	// without it.
 	for _, rn := range peers {
 		deadline := time.Now().Add(500 * time.Millisecond)
 		for {

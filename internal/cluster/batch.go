@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -71,6 +72,12 @@ type Op struct {
 type OpResult struct {
 	Value []byte
 	Found bool
+	// Applied reports that the op's lead member executed it — for a
+	// write, that it landed in the primary's store. Ops a shed or failed
+	// sub-batch never ran stay false. Replication mirrors exactly the
+	// writes whose result carries it (replicate.go), so every Remote must
+	// hand back the results its server produced, bit intact.
+	Applied bool
 }
 
 // request is one per-node sub-batch flowing through a node's queue. The
@@ -85,11 +92,14 @@ type request struct {
 	ops  []Op
 	// replicas[i] holds the extra replica targets (beyond the owning
 	// member's own store) that write op i must reach; nil for reads and
-	// for R=1.
-	replicas [][]mirror
-	results  []OpResult // shared backing array for the whole Apply
-	idx      []int      // results[idx[i]] receives ops[i]'s outcome
-	done     *sync.WaitGroup
+	// for R=1. replicated is set once any op carries targets: such a
+	// sub-batch runs through the replication pipeline (replicate.go)
+	// under its lead member's write lock.
+	replicas   [][]mirror
+	replicated bool
+	results    []OpResult // shared backing array for the whole Apply
+	idx        []int      // results[idx[i]] receives ops[i]'s outcome
+	done       *sync.WaitGroup
 	// errs collects failures from sub-batches that complete off the
 	// submit path (remote members finish their RPC in a goroutine, so a
 	// shed or failed batch cannot surface through the enqueue return).
@@ -99,6 +109,24 @@ type request struct {
 	// its transport failures into the failure detector so a member dying
 	// mid-Apply starts counting toward down without waiting for a probe.
 	owner *memberState
+
+	// Scratch the lead member fills while executing, recycled with the
+	// request: batch is a local primary's engine write run, legs the
+	// per-target mirror batches, fan the join for legs sent in parallel.
+	batch []engine.BatchOp
+	legs  []mirrorLeg
+	fan   sync.WaitGroup
+}
+
+// add appends one planned op: results[i] receives its outcome, reps are
+// the replica targets a write must reach.
+func (r *request) add(op Op, i int, reps []mirror) {
+	r.ops = append(r.ops, op)
+	r.idx = append(r.idx, i)
+	r.replicas = append(r.replicas, reps)
+	if len(reps) > 0 {
+		r.replicated = true
+	}
 }
 
 // fail records an asynchronous completion failure, if a collector is
@@ -135,19 +163,22 @@ func (a *asyncErr) first() error {
 }
 
 // applyState is the pooled per-Apply scratch: the sub-batch arena, the
-// replica-target arena, and the completion plumbing every sub-batch
-// shares. Pooling it makes the coordinator's routing layer
-// allocation-free in steady state — the request structs, their
-// ops/idx/replicas slices, and the WaitGroup all come back on the next
-// Apply with their capacity intact.
+// replica-target arena, the planner's owner-lookup buffer, and the
+// completion plumbing every sub-batch shares. Pooling it makes the
+// coordinator's routing and replication layers allocation-free in steady
+// state — the request structs, their ops/idx/replicas slices and
+// execution scratch, and the WaitGroup all come back on the next Apply
+// with their capacity intact.
 //
 // Reuse is safe because done.Wait() is the last event of an Apply and
-// done.Done() is the last touch any worker makes on a request: node
-// workers read nothing after exec returns, and remote completions
-// Done() via defer after their final result fill.
+// done.Done() is the last touch any worker makes on a request: both
+// leaders' execute ends with it, after the final result fill and the
+// last mirror ack.
 type applyState struct {
-	reqs    []request // sub-batch arena; parts point into it
-	mirrors []mirror  // replica-target arena; replicas slices point into it
+	reqs    []request   // sub-batch arena; parts point into it
+	mirrors []mirror    // replica-target arena; replicas slices point into it
+	owners  []int       // one op's owner set while planInto routes it
+	one     [1]OpResult // result slot of a single-key write (Cluster.write)
 	done    sync.WaitGroup
 	errs    asyncErr
 }
@@ -166,6 +197,7 @@ func (st *applyState) newReq(lead int, owner *memberState, results []OpResult) *
 	r.lead = lead
 	r.ops = r.ops[:0]
 	r.replicas = r.replicas[:0]
+	r.replicated = false
 	r.idx = r.idx[:0]
 	r.results = results
 	r.done = &st.done
@@ -208,7 +240,8 @@ func (c *Cluster) planInto(st *applyState, ops []Op, results []OpResult) error {
 		if primary := c.ring.Primary(op.Key); !needOwners && c.nodes[primary] != nil && !c.nodes[primary].isDown() {
 			lead = primary
 		} else {
-			owners := c.ring.Owners(op.Key, c.cfg.Replication)
+			st.owners = c.ring.AppendOwners(st.owners[:0], op.Key, c.cfg.Replication)
+			owners := st.owners
 			lead = -1
 			for _, id := range owners {
 				if m := c.nodes[id]; m != nil && !m.isDown() {
@@ -259,9 +292,7 @@ func (c *Cluster) planInto(st *applyState, ops []Op, results []OpResult) error {
 		if req == nil {
 			req = st.newReq(lead, c.nodes[lead], results)
 		}
-		req.ops = append(req.ops, op)
-		req.idx = append(req.idx, i)
-		req.replicas = append(req.replicas, reps)
+		req.add(op, i, reps)
 	}
 	return nil
 }

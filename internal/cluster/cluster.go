@@ -49,13 +49,13 @@ type Config struct {
 	// or compaction name comes from user input.
 	Engine engine.Options
 	// Spans, when non-nil, receives the coordinator-layer spans of every
-	// traced op: "cluster/write" around each replicated write (exec +
-	// replicate phases), "cluster/hint" when a replica leg defers to
-	// hinted handoff, "cluster/failover" when a write routes around its
-	// down primary. Share one SpanLog between the transport server and
-	// its cluster (transport.ServerOptions.Spans) so OpTraceFetch serves
-	// every hop the process recorded. Nil disables cluster-layer spans;
-	// untraced ops never touch the log either way.
+	// traced op: "cluster/write" around each sub-batch of replicated
+	// writes (exec + replicate phases), "cluster/hint" when a replica leg
+	// defers to hinted handoff, "cluster/failover" when a write routes
+	// around its down primary. Share one SpanLog between the transport
+	// server and its cluster (transport.ServerOptions.Spans) so
+	// OpTraceFetch serves every hop the process recorded. Nil disables
+	// cluster-layer spans; untraced ops never touch the log either way.
 	Spans *obs.SpanLog
 
 	// SelfAddr, when non-empty, makes this cluster one elastic member: a
@@ -265,7 +265,7 @@ func (c *Cluster) initElastic() *Cluster {
 		n := newNode(c.selfID, eng, c.cfg.QueueDepth, c.cfg.WorkersPerNode, c.cfg.MaxBatch)
 		n.spans = c.spans
 		n.start()
-		ms := newMemberState(n, c.cfg.ProbeFailures, c.cfg.HintLimit)
+		ms := newMemberState(n, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
 		ms.spans = c.spans
 		ms.events = c.events
 		ms.addr = c.cfg.SelfAddr
@@ -350,7 +350,7 @@ func (c *Cluster) addNodeLocked() *Node {
 		c.cfg.WorkersPerNode, c.cfg.MaxBatch)
 	n.spans = c.spans
 	n.start()
-	ms := newMemberState(n, c.cfg.ProbeFailures, c.cfg.HintLimit)
+	ms := newMemberState(n, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
 	ms.spans = c.spans
 	ms.events = c.events
 	c.nodes[id] = ms
@@ -466,45 +466,50 @@ func (c *Cluster) Delete(key []byte) error {
 	return c.write(Op{Kind: OpDelete, Key: key})
 }
 
+// write runs one single-key write as a sub-batch of one, executed on the
+// calling goroutine by the lead member — the same replication pipeline
+// batches take (replicate.go), minus the queue hop. The lead is the
+// key's first live owner; every other owner rides along as a mirror,
+// down ones included: their memberState buffers the write as a hint
+// instead of paying a doomed RPC. Route-only coordinators never mirror:
+// the lead member replicates server-side under its own (authoritative)
+// view. Replica mirrors are not counted in NodeStats.Ops; they surface in
+// the replica's engine stats instead.
 func (c *Cluster) write(op Op) error {
+	st := applyPool.Get().(*applyState)
+	defer st.release()
 	c.mu.RLock()
-	owners := c.ownersLocked(op.Key)
+	st.owners = c.ring.AppendOwners(st.owners[:0], op.Key, c.cfg.Replication)
+	var lead, primary *memberState
+	for i, id := range st.owners {
+		m := c.nodes[id] // nil: a view member not dialed yet routes like a down one
+		if i == 0 {
+			primary = m
+		}
+		if lead == nil && m != nil && !m.isDown() {
+			lead = m
+		} else if m != nil && !c.cfg.RouteOnly {
+			st.mirrors = append(st.mirrors, m)
+		}
+	}
 	c.mu.RUnlock()
-	if len(owners) == 0 {
+	if len(st.owners) == 0 {
 		return ErrNoNodes
 	}
-	lead := -1
-	for i, m := range owners {
-		if m != nil && !m.isDown() {
-			lead = i
-			break
-		}
-	}
-	if lead == -1 {
+	if lead == nil {
 		return fmt.Errorf("cluster: write %q: %w", op.Key, ErrAllOwnersDown)
 	}
-	if lead != 0 {
+	if lead != primary {
 		c.writeFailovers.Add(1) // the primary is down: a surviving owner leads
-		c.noteFailoverEvent("write", owners[0])
+		c.noteFailoverEvent("write", primary)
 	}
-	// Replica mirrors are not counted in NodeStats.Ops (matching the
-	// batched path); they surface in the replica's engine stats instead.
-	// Down owners ride along as mirrors too: their memberState buffers
-	// the write as a hint instead of paying a doomed RPC. Route-only
-	// coordinators never mirror: the lead member replicates server-side
-	// under its own (authoritative) view.
-	var replicas []mirror
-	if !c.cfg.RouteOnly {
-		replicas = make([]mirror, 0, len(owners)-1)
-		for i, m := range owners {
-			if i != lead && m != nil {
-				replicas = append(replicas, m)
-			}
-		}
-	}
-	_, err := owners[lead].directWrite(op, replicas)
-	if err != nil {
-		return fmt.Errorf("cluster: write %q via member %d: %w", op.Key, owners[lead].memberID(), err)
+	st.one[0] = OpResult{} // recycled: a stale Applied must not mirror a failed write
+	req := st.newReq(lead.memberID(), lead, st.one[:])
+	req.add(op, 0, st.mirrors)
+	st.done.Add(1)
+	lead.execute(req, false)
+	if err := st.errs.first(); err != nil {
+		return fmt.Errorf("cluster: write %q via member %d: %w", op.Key, lead.memberID(), err)
 	}
 	return nil
 }

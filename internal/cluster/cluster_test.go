@@ -202,17 +202,17 @@ func TestClusterTryApplyOverload(t *testing.T) {
 	}
 	c.mu.Lock()
 	stopped := newNode(99, eng, 1, 1, 4)
-	c.nodes[99] = newMemberState(stopped, 3, 64)
+	c.nodes[99] = newMemberState(stopped, 3, 64, 32)
 	c.ring = NewRing(8)
 	c.ring.Add(99)
 	c.mu.Unlock()
 
-	// Fill the depth-1 queue directly (no waiter), then watch TryApply shed.
+	// Fill the depth-1 queue directly, then watch TryApply shed.
 	var fill sync.WaitGroup
 	fill.Add(1)
 	one := []Op{{Kind: OpPut, Key: []byte("k"), Value: []byte("v")}}
 	if err := stopped.trySubmit(&request{
-		ops: one, replicas: [][]mirror{nil}, done: &fill,
+		ops: one, replicas: [][]mirror{nil}, results: make([]OpResult, 1), idx: []int{0}, done: &fill,
 	}); err != nil {
 		t.Fatalf("fill submit: %v", err)
 	}

@@ -21,7 +21,9 @@
 //   - Cluster (cluster.go): the coordinator. Point ops route to the key's
 //     primary; multi-op batches are split by owner and scattered
 //     (batch.go); scans scatter to every node and k-way merge; writes are
-//     applied synchronously to all R owners so a subsequent read of the
+//     applied synchronously to all R owners — a sub-batch at a time: one
+//     apply on the primary, one mirror batch per replica, under the
+//     primary's write lock (replicate.go) — so a subsequent read of the
 //     primary always observes them (read-your-writes on the primary).
 //
 //   - Rebalance (rebalance.go): AddNode/RemoveNode recompute the ring and

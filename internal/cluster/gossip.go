@@ -106,15 +106,16 @@ func (c *Cluster) AdoptEncodedView(payload []byte) error {
 	return nil
 }
 
-// ApplyLocal lands one write on this member's own shard without replica
-// fan-out — the server half of OpMirror. Replica mirrors from elastic
-// peers (migration=false) always apply; migration copies must carry the
-// epoch they were planned under, and are refused with ErrWrongEpoch
-// unless this member holds exactly that view — an unadopted epoch means
-// our dirty-guard is not armed yet and the copy could bury a racing
-// live write (or be dropped on the floor); a stale epoch means the copy
-// is a leftover retry.
-func (c *Cluster) ApplyLocal(op Op, migration bool, epoch uint64) error {
+// ApplyLocal lands a batch of writes, in order, on this member's own
+// shard without replica fan-out — the server half of OpMirror. Replica
+// mirror batches from elastic peers (migration=false) always apply; a
+// chunk of migration copies must carry the epoch it was planned under,
+// checked once for the frame, and is refused with ErrWrongEpoch unless
+// this member holds exactly that view — an unadopted epoch means our
+// dirty-guard is not armed yet and a copy could bury a racing live write
+// (or be dropped on the floor); a stale epoch means the chunk is a
+// leftover retry.
+func (c *Cluster) ApplyLocal(ops []Op, migration bool, epoch uint64) error {
 	c.mu.RLock()
 	n := c.localNodeLocked()
 	closed := c.closed
@@ -128,7 +129,7 @@ func (c *Cluster) ApplyLocal(op Op, migration bool, epoch uint64) error {
 	if migration && epoch != c.epoch.Load() {
 		return ErrWrongEpoch
 	}
-	return n.applyLocal(op, migration)
+	return n.applyLocal(ops, migration)
 }
 
 // GetLocal serves a point read from this member's own shard with no
@@ -330,7 +331,7 @@ func (c *Cluster) addViewMember(m MemberInfo, r Remote) {
 	// elastic peer carry our epoch, so a ring disagreement bounces at the
 	// peer's admission instead of being re-forwarded by its ring.
 	rm.setEpoch(c.epoch.Load())
-	ms := newMemberState(rm, c.cfg.ProbeFailures, c.cfg.HintLimit)
+	ms := newMemberState(rm, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
 	ms.spans = c.spans
 	ms.events = c.events
 	ms.addr = m.Addr

@@ -38,15 +38,17 @@ type memberState struct {
 	lastStats NodeStats
 
 	// hmu guards the hinted-handoff buffer. Appends happen under the
-	// write primary's wmu (via mirrorWrite), so the buffer preserves
+	// write primary's wmu (via mirrorBatch), so the buffer preserves
 	// per-key write order; replay drains in order and only clears the
 	// down flag once the buffer is empty, so a replayed write is never
-	// overtaken by a younger direct one.
-	hmu      sync.Mutex
-	hints    []Op
-	hintCap  int
-	replayed atomic.Uint64
-	dropped  atomic.Uint64
+	// overtaken by a younger direct one. replayChunk caps the ops one
+	// replay round trip carries (Config.MaxBatch).
+	hmu         sync.Mutex
+	hints       []Op
+	hintCap     int
+	replayChunk int
+	replayed    atomic.Uint64
+	dropped     atomic.Uint64
 
 	// spans, when non-nil, receives a "cluster/hint" annotation span
 	// whenever a traced replica write defers to the handoff buffer, so
@@ -71,8 +73,8 @@ type memberState struct {
 	downSweeps int
 }
 
-func newMemberState(m member, threshold, hintCap int) *memberState {
-	return &memberState{member: m, threshold: int32(threshold), hintCap: hintCap}
+func newMemberState(m member, threshold, hintCap, replayChunk int) *memberState {
+	return &memberState{member: m, threshold: int32(threshold), hintCap: hintCap, replayChunk: replayChunk}
 }
 
 // isDown reports the detector's current verdict.
@@ -97,22 +99,25 @@ func (s *memberState) noteSuccess() { s.consecFails.Store(0) }
 // verdict.
 func (s *memberState) failing() bool { return s.consecFails.Load() > 0 }
 
-// bufferHint queues one missed replica write for replay, copying the
-// key and value (ops may alias wire buffers that die with the request).
-// A full buffer drops the oldest hint — the audit counter records that
-// convergence now needs a rebalance or repair pass.
-func (s *memberState) bufferHint(op Op) {
-	h := Op{Kind: op.Kind, Key: append([]byte(nil), op.Key...)}
-	if op.Value != nil {
-		h.Value = append([]byte(nil), op.Value...)
-	}
+// bufferHints queues missed replica writes for replay, in order,
+// copying keys and values (ops may alias wire buffers that die with the
+// request). A full buffer drops its oldest hints — the audit counter
+// records that convergence now needs a rebalance or repair pass.
+func (s *memberState) bufferHints(ops []Op) {
 	s.hmu.Lock()
-	dropping := len(s.hints) >= s.hintCap
-	if dropping {
-		s.hints = s.hints[1:]
-		s.dropped.Add(1)
+	dropping := false
+	for _, op := range ops {
+		h := Op{Kind: op.Kind, Key: append([]byte(nil), op.Key...)}
+		if op.Value != nil {
+			h.Value = append([]byte(nil), op.Value...)
+		}
+		if len(s.hints) >= s.hintCap {
+			s.hints = s.hints[1:]
+			s.dropped.Add(1)
+			dropping = true
+		}
+		s.hints = append(s.hints, h)
 	}
-	s.hints = append(s.hints, h)
 	s.hmu.Unlock()
 	if dropping && !s.dropEvented.Swap(true) {
 		s.events.Record(obs.Event{
@@ -139,11 +144,13 @@ func (s *memberState) hintsPending() int {
 }
 
 // drainHints replays the buffered writes onto the recovered member in
-// order and, once the buffer is empty, clears the down flag in the same
-// critical section — writes hinted while replay ran are drained by the
-// next loop pass, so the member never serves as a replica target with
-// undelivered hints ahead of it. A replay failure re-buffers the
-// unapplied tail and leaves the member down.
+// order — through the same batched mirror call live replication uses,
+// replayChunk ops per round trip — and, once the buffer is empty, clears
+// the down flag in the same critical section: writes hinted while replay
+// ran are drained by the next loop pass, so the member never serves as a
+// replica target with undelivered hints ahead of it. A replay failure
+// re-buffers the unapplied tail ahead of any younger hints and leaves
+// the member down.
 func (s *memberState) drainHints() error {
 	var drained uint64
 	for {
@@ -164,25 +171,20 @@ func (s *memberState) drainHints() error {
 			}
 			return nil
 		}
-		batch := s.hints
+		backlog := s.hints
 		s.hints = nil
 		s.hmu.Unlock()
-		for i, op := range batch {
-			var err error
-			switch op.Kind {
-			case OpPut:
-				err = s.member.directPut(op.Key, op.Value)
-			case OpDelete:
-				err = s.member.directDelete(op.Key)
-			}
-			if err != nil {
+		for len(backlog) > 0 {
+			chunk := backlog[:min(len(backlog), s.replayChunk)]
+			if err := s.member.mirrorBatch(chunk); err != nil {
 				s.hmu.Lock()
-				s.hints = append(batch[i:], s.hints...)
+				s.hints = append(backlog, s.hints...)
 				s.hmu.Unlock()
 				return err
 			}
-			s.replayed.Add(1)
-			drained++
+			s.replayed.Add(uint64(len(chunk)))
+			drained += uint64(len(chunk))
+			backlog = backlog[len(chunk):]
 		}
 	}
 }
@@ -238,18 +240,18 @@ func (s *memberState) gossip(view []byte) ([]byte, error) {
 	return reply, err
 }
 
-// applyLocal lands a write on the member's own store without replica
-// fan-out — migration copies and elastic mirror legs, where the sender
-// already owns the fan-out. epoch rides on migration copies so the
-// receiver can reject ones planned under a view it does not hold.
-// Outcomes feed the failure detector.
-func (s *memberState) applyLocal(op Op, migration bool, epoch uint64) error {
+// applyLocal lands a batch of writes on the member's own store without
+// replica fan-out — chunks of migration copies, where the sender already
+// owns the fan-out. epoch rides along so the receiver can reject a chunk
+// planned under a view it does not hold. Outcomes feed the failure
+// detector.
+func (s *memberState) applyLocal(ops []Op, migration bool, epoch uint64) error {
 	var err error
 	switch m := s.member.(type) {
 	case *Node:
-		err = m.applyLocal(op, migration)
+		err = m.applyLocal(ops, migration)
 	case *remoteMember:
-		err = m.applyLocal(op, migration, epoch)
+		err = m.applyLocal(ops, migration, epoch)
 	default:
 		err = errNotElastic
 	}
@@ -275,60 +277,64 @@ func (s *memberState) directDelete(key []byte) error {
 	return err
 }
 
-func (s *memberState) directWrite(op Op, replicas []mirror) (OpResult, error) {
-	res, err := s.member.directWrite(op, replicas)
-	s.note(err)
-	return res, err
-}
-
 func (s *memberState) snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
 	entries, err := s.member.snapshotScan(dst, start, limit)
 	s.note(err)
 	return entries, err
 }
 
-// mirrorWrite is the replica leg of a replicated write. A down member —
-// or one with an undrained hint backlog, which must stay strictly ahead
-// of younger writes — buffers the op for replay. A live member whose
-// mirror fails at the transport gets the same treatment: the write is
-// hinted rather than dropped, so the R-copy invariant degrades to
-// "eventually R copies" instead of silently shedding one.
-func (s *memberState) mirrorWrite(op Op) error {
+// mirrorBatch is the replica leg of a replicated sub-batch. A down
+// member — or one with an undrained hint backlog, which must stay
+// strictly ahead of younger writes — buffers every op for replay; the
+// check is made once for the batch. A live member whose mirror fails
+// gets the same treatment whatever the failure was — a dead wire, but
+// also a leg shed by the replica's admission control or refused by a
+// closing server: the primary has already applied, so the writes are
+// hinted rather than dropped and the R-copy invariant degrades to
+// "eventually R copies" instead of silently shedding one. Only a
+// transport failure counts against the member's health. The result is
+// always nil: no copy is lost here.
+func (s *memberState) mirrorBatch(ops []Op) error {
 	s.hmu.Lock()
 	deferToHints := s.down.Load() || len(s.hints) > 0
 	s.hmu.Unlock()
-	if deferToHints {
-		s.hintSpan(op, s.bufferHint)
-		return nil
+	if !deferToHints {
+		err := s.member.mirrorBatch(ops)
+		if err == nil {
+			return nil
+		}
+		if isTransportErr(err) {
+			s.noteFailure()
+		}
 	}
-	err := s.member.mirrorWrite(op)
-	if err != nil && isTransportErr(err) {
-		s.noteFailure()
-		s.hintSpan(op, s.bufferHint)
-		return nil
-	}
-	return err
+	s.hintBatch(ops)
+	return nil
 }
 
-// hintSpan runs buffer (always) and, when the op is traced and a span
-// log is attached, records a "cluster/hint" annotation around it: the
-// replica leg was deferred to hinted handoff, not applied. The span's
-// single hinted-handoff phase carries the buffering cost; the replica
-// hop that would normally appear under this parent is absent, which is
-// exactly what the assembled trace should show.
-func (s *memberState) hintSpan(op Op, buffer func(Op)) {
-	if op.Trace == 0 || s.spans == nil {
-		buffer(op)
+// hintBatch buffers ops as hints and, when they are traced and a span
+// log is attached, records a "cluster/hint" annotation around the
+// buffering: the replica leg was deferred to hinted handoff, not
+// applied. The span's single hinted-handoff phase carries the buffering
+// cost; the replica hop that would normally appear under this parent is
+// absent, which is exactly what the assembled trace should show.
+func (s *memberState) hintBatch(ops []Op) {
+	trace, parent := opsTrace(ops)
+	if trace == 0 || s.spans == nil {
+		s.bufferHints(ops)
 		return
 	}
 	start := time.Now()
-	buffer(op)
+	s.bufferHints(ops)
 	dur := time.Since(start)
+	bytes := 0
+	for i := range ops {
+		bytes += len(ops[i].Key) + len(ops[i].Value)
+	}
 	s.spans.Record(obs.Span{
-		Trace: op.Trace, ID: obs.NewSpanID(), Parent: op.Parent,
+		Trace: trace, ID: obs.NewSpanID(), Parent: parent,
 		Name: "cluster/hint", Start: start, Dur: dur,
-		Bytes:  len(op.Key) + len(op.Value),
-		Err:    fmt.Sprintf("member %d unreachable, write buffered for replay", s.memberID()),
+		Bytes:  bytes,
+		Err:    fmt.Sprintf("member %d unreachable, %d writes buffered for replay", s.memberID(), len(ops)),
 		Phases: []obs.Phase{{Name: "hinted-handoff", Dur: dur}},
 	})
 }

@@ -2,14 +2,16 @@ package cluster
 
 import "repro/internal/engine"
 
-// mirror is a replica-write target: the secondary owners a replicated
-// write must reach after the primary applied it. Local nodes mirror
-// straight into their engine; remote members mirror over the wire. A
-// non-nil error reports a mirror the transport dropped — the caller
-// (the health layer) turns it into a hinted-handoff entry instead of
-// losing the copy.
+// mirror is a replica-write target: a secondary owner the writes of a
+// replicated sub-batch must reach after the primary applied them.
+// mirrorBatch lands ops — all writes, in primary order — on the target's
+// own store as one unit: local nodes write one engine batch, remote
+// members pay one round trip. A non-nil error reports a batch the target
+// did not take, whatever the reason — the health layer (memberState)
+// turns every op in it into a hinted-handoff entry instead of losing the
+// copy. A single mirrored write is a batch of one.
 type mirror interface {
-	mirrorWrite(op Op) error
+	mirrorBatch(ops []Op) error
 }
 
 // member is the coordinator's view of one shard. The in-process *Node
@@ -38,11 +40,13 @@ type member interface {
 	// local nodes).
 	directPut(key, value []byte) error
 	directDelete(key []byte) error
-	// directWrite applies one write and fans it out to the replica set
-	// as a unit serialized against other writers of the same primary.
-	// The error reports a primary-side transport failure; mirror
-	// failures are the replicas' own to hint or count.
-	directWrite(op Op, replicas []mirror) (OpResult, error)
+	// execute runs one sub-batch to completion on the calling goroutine
+	// — the primary apply and, for a replicated sub-batch, the mirror
+	// fan-out, as a unit serialized against other writers led by this
+	// member (replicate.go). try selects admission control on a remote
+	// primary. Failures land on the request (request.fail); the last act
+	// is req.done.Done().
+	execute(req *request, try bool)
 	// snapshotScan returns up to limit entries with key >= start from a
 	// consistent point-in-time view of the shard, appending to dst
 	// (which may be nil) so scatter-gather callers can reuse partial
@@ -52,7 +56,7 @@ type member interface {
 	snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error)
 	// submit enqueues a sub-batch with backpressure; trySubmit sheds
 	// with ErrOverload instead of blocking (admission control). Both may
-	// complete the request asynchronously.
+	// complete the request asynchronously, through execute.
 	submit(req *request) error
 	trySubmit(req *request) error
 	// stats snapshots the shard's activity counters.

@@ -20,10 +20,11 @@ import (
 //     this member is the responsible pusher for — the first old owner
 //     under the last settled view that is still eligible — push a copy
 //     to each owner the key gained under the current view, paced to
-//     Config.MigrateRate bytes/s. Copies travel as OpMirror(migration)
-//     frames and land with store-only semantics: no replica fan-out, and
-//     never over a key the destination wrote after the epoch began (the
-//     dirty-guard below).
+//     Config.MigrateRate bytes/s. Copies are gathered per destination
+//     and travel in chunks of up to MaxBatch as OpMirror(migration)
+//     frames (migPush); they land with store-only semantics: no replica
+//     fan-out, and never over a key the destination wrote after the
+//     epoch began (the dirty-guard below, consulted per key).
 //  2. Redrive. Keys written live while the pass ran are re-pushed from
 //     their current engine value — a write that raced the snapshot may
 //     have been coordinated by a member still routing under the old
@@ -187,6 +188,71 @@ func (c *Cluster) responsiblePusher(v *ClusterView, oldOwners []int) bool {
 	return false
 }
 
+// migPush gathers the migration copies of one scan page per destination
+// and sends them as store-only chunks: one frame, one epoch check and one
+// throttle charge per chunk instead of per key.
+type migPush struct {
+	c     *Cluster
+	epoch uint64
+	dests []migDest
+	// rate > 0 paces delivered bytes against the clock started at start.
+	rate  int
+	sent  int
+	start time.Time
+}
+
+type migDest struct {
+	id  int
+	ops []Op
+}
+
+// add queues one copy for member id.
+func (p *migPush) add(id int, op Op) {
+	for i := range p.dests {
+		if p.dests[i].id == id {
+			p.dests[i].ops = append(p.dests[i].ops, op)
+			return
+		}
+	}
+	p.dests = append(p.dests, migDest{id: id, ops: []Op{op}})
+}
+
+// flush sends everything queued, in order per destination, and returns
+// the ops that were not delivered: a destination that is not dialed yet
+// or fails a chunk gives up its remainder, so a dead peer costs one
+// failed round trip per flush.
+func (p *migPush) flush() (failed []Op) {
+	chunk := p.c.cfg.MaxBatch
+	for i := range p.dests {
+		d := &p.dests[i]
+		tgt := p.c.memberFor(d.id)
+		for ops := d.ops; len(ops) > 0; {
+			n := min(len(ops), chunk)
+			if tgt == nil || tgt.applyLocal(ops[:n], true, p.epoch) != nil {
+				failed = append(failed, ops...)
+				break
+			}
+			bytes := 0
+			for _, op := range ops[:n] {
+				bytes += len(op.Key) + len(op.Value)
+			}
+			p.c.migKeys.Add(uint64(n))
+			p.c.migBytes.Add(uint64(bytes))
+			p.sent += bytes
+			if p.rate > 0 {
+				// Throttle: sleep off any debt against the byte budget so
+				// migration never outruns MigrateRate for long.
+				if ahead := time.Duration(p.sent)*time.Second/time.Duration(p.rate) - time.Since(p.start); ahead > 0 {
+					time.Sleep(ahead)
+				}
+			}
+			ops = ops[n:]
+		}
+		d.ops = d.ops[:0]
+	}
+	return failed
+}
+
 // copyPass pushes every key this member is responsible for to the owners
 // it gained under v, paced to Config.MigrateRate. Returns false when the
 // pass aborted — the epoch moved under it, a destination is not dialed
@@ -199,9 +265,7 @@ func (c *Cluster) copyPass(v, base *ClusterView, node *Node) bool {
 	}
 	oldRing := base.Ring()
 	newRing := v.Ring()
-	rate := c.cfg.MigrateRate
-	var sent int
-	start := time.Now()
+	push := migPush{c: c, epoch: v.Epoch, rate: c.cfg.MigrateRate, start: time.Now()}
 	var cursor []byte
 	for {
 		if c.isClosed() || c.epoch.Load() != v.Epoch {
@@ -221,25 +285,11 @@ func (c *Cluster) copyPass(v, base *ClusterView, node *Node) bool {
 				if id == c.selfID || containsID(oldOwners, id) {
 					continue // the destination already holds a settled copy
 				}
-				tgt := c.memberFor(id)
-				if tgt == nil {
-					return false // not dialed yet: retry after ensureMembers
-				}
-				if err := tgt.applyLocal(Op{Kind: OpPut, Key: e.Key, Value: e.Value}, true, v.Epoch); err != nil {
-					return false
-				}
-				c.migKeys.Add(1)
-				n := len(e.Key) + len(e.Value)
-				c.migBytes.Add(uint64(n))
-				sent += n
+				push.add(id, Op{Kind: OpPut, Key: e.Key, Value: e.Value})
 			}
-			if rate > 0 && sent > 0 {
-				// Throttle: sleep off any debt against the byte budget so
-				// migration never outruns MigrateRate for long.
-				if ahead := time.Duration(sent)*time.Second/time.Duration(rate) - time.Since(start); ahead > 0 {
-					time.Sleep(ahead)
-				}
-			}
+		}
+		if len(push.flush()) > 0 {
+			return false // undialed or unreachable destination: retry next tick
 		}
 		cursor = append(cursor[:0], entries[len(entries)-1].Key...)
 		cursor = append(cursor, 0) // strictly after the last scanned key
@@ -257,38 +307,32 @@ func (c *Cluster) redrive(v *ClusterView, node *Node) {
 		return
 	}
 	keys := g.takePending()
-	if len(keys) == 0 {
-		return
-	}
 	r := v.R
 	if r <= 0 {
 		r = 1
 	}
 	ring := v.Ring()
+	push := migPush{c: c, epoch: v.Epoch}
 	var requeue []string
-	for _, k := range keys {
-		key := []byte(k)
-		op := Op{Kind: OpDelete, Key: key}
-		if val, ok, err := node.directGet(key); err != nil {
-			continue
-		} else if ok {
-			op = Op{Kind: OpPut, Key: key, Value: val}
-		}
-		for _, id := range ring.Owners(key, r) {
-			if id == c.selfID {
+	for len(keys) > 0 {
+		page := keys[:min(len(keys), 256)]
+		keys = keys[len(page):]
+		for _, k := range page {
+			key := []byte(k)
+			op := Op{Kind: OpDelete, Key: key}
+			if val, ok, err := node.directGet(key); err != nil {
 				continue
+			} else if ok {
+				op = Op{Kind: OpPut, Key: key, Value: val}
 			}
-			tgt := c.memberFor(id)
-			if tgt == nil {
-				requeue = append(requeue, k)
-				break
+			for _, id := range ring.Owners(key, r) {
+				if id != c.selfID {
+					push.add(id, op)
+				}
 			}
-			if err := tgt.applyLocal(op, true, v.Epoch); err != nil {
-				requeue = append(requeue, k)
-				break
-			}
-			c.migKeys.Add(1)
-			c.migBytes.Add(uint64(len(op.Key) + len(op.Value)))
+		}
+		for _, op := range push.flush() {
+			requeue = append(requeue, string(op.Key))
 		}
 	}
 	if len(requeue) > 0 {

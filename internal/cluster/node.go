@@ -3,7 +3,6 @@ package cluster
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -31,9 +30,9 @@ type Node struct {
 	wg       sync.WaitGroup
 
 	// spans, when non-nil, receives a "cluster/write" span for every
-	// traced write this node leads (exec + replicate phases); mirror
-	// legs are re-parented onto it so replica hops hang off this one.
-	// Untraced ops never touch it.
+	// sub-batch with a traced write this node leads (exec + replicate
+	// phases); mirror legs are re-parented onto it so replica hops hang
+	// off this one. Untraced ops never touch it.
 	spans *obs.SpanLog
 
 	closeOnce sync.Once
@@ -97,12 +96,12 @@ func (n *Node) start() {
 func (n *Node) run() {
 	for req := range n.queue {
 		n.batches.Add(1)
-		// Size bookkeeping must happen before exec: exec's final act is
+		// Size bookkeeping must happen before execute: its final act is
 		// done.Done(), after which the pooled request may be recycled by
 		// the next Apply — reading req past that point is a use-after-
 		// release race.
 		budget := n.maxBatch - len(req.ops)
-		n.exec(req)
+		n.execute(req, false)
 		for budget > 0 {
 			select {
 			case more, ok := <-n.queue:
@@ -110,7 +109,7 @@ func (n *Node) run() {
 					return
 				}
 				budget -= len(more.ops)
-				n.exec(more)
+				n.execute(more, false)
 			default:
 				budget = 0
 			}
@@ -118,7 +117,7 @@ func (n *Node) run() {
 	}
 }
 
-// memberID, ping, directGet, directPut, directDelete, mirrorWrite and
+// memberID, ping, directGet, directPut, directDelete, mirrorBatch and
 // snapshotScan are the in-process half of the member interface: engine
 // calls with no queue or wire in between.
 func (n *Node) memberID() int { return n.id }
@@ -149,7 +148,7 @@ func (n *Node) directDelete(key []byte) error {
 	return nil
 }
 
-func (n *Node) mirrorWrite(op Op) error { return n.applyLocal(op, false) }
+func (n *Node) mirrorBatch(ops []Op) error { return n.applyLocal(ops, false) }
 
 // markDirty records a live write with the armed migration guard, if any.
 func (n *Node) markDirty(key []byte) {
@@ -158,35 +157,58 @@ func (n *Node) markDirty(key []byte) {
 	}
 }
 
-// applyLocal lands one write on this node's engine without replica
-// fan-out. Live writes (migration=false) mark the dirty-guard first;
-// migration copies (migration=true) are dropped when the key was written
-// after the epoch began — check and apply happen under the guard lock,
-// so every interleaving leaves the live write's value on top. A nil
-// guard means the epoch has settled: late migration copies are dropped
-// outright (the sender settles only after its pushes completed, so a
-// copy arriving now is a stale retry).
-func (n *Node) applyLocal(op Op, migration bool) error {
+// writeRunPool recycles the engine write runs applyLocal builds; the
+// engine copies keys and values, so a run is free the moment WriteBatch
+// returns. (execute keeps its run in the request arena instead.)
+var writeRunPool = sync.Pool{New: func() any { return new([]engine.BatchOp) }}
+
+// batchOp is op as an engine write.
+func batchOp(op Op) engine.BatchOp {
+	return engine.BatchOp{Key: op.Key, Value: op.Value, Delete: op.Kind == OpDelete}
+}
+
+// applyLocal lands ops — all writes — on this node's engine as one
+// WriteBatch, without replica fan-out. Live writes (migration=false)
+// mark the dirty-guard first; migration copies (migration=true) are
+// dropped key by key when the key was written after the epoch began —
+// check and apply happen under the guard lock, so every interleaving
+// leaves the live write's value on top. A nil guard means the epoch has
+// settled: late migration copies are dropped outright (the sender
+// settles only after its pushes completed, so a copy arriving now is a
+// stale retry).
+func (n *Node) applyLocal(ops []Op, migration bool) error {
 	if n.closed.Load() {
 		return ErrClosed
 	}
-	if !migration {
-		n.markDirty(op.Key)
-		applyWrite(n.eng, op)
-		return nil
+	var g *migrationGuard
+	if migration {
+		if g = n.guard.Load(); g == nil {
+			n.guardSkips.Add(uint64(len(ops)))
+			return nil
+		}
 	}
-	g := n.guard.Load()
-	if g == nil {
-		n.guardSkips.Add(1)
-		return nil
+	buf := writeRunPool.Get().(*[]engine.BatchOp)
+	run := (*buf)[:0]
+	if migration {
+		g.mu.Lock()
+		for i := range ops {
+			if _, dirty := g.dirty[string(ops[i].Key)]; dirty {
+				n.guardSkips.Add(1)
+				continue
+			}
+			run = append(run, batchOp(ops[i]))
+		}
+		n.eng.WriteBatch(run)
+		g.mu.Unlock()
+	} else {
+		for i := range ops {
+			n.markDirty(ops[i].Key)
+			run = append(run, batchOp(ops[i]))
+		}
+		n.eng.WriteBatch(run)
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dirty := g.dirty[string(op.Key)]; dirty {
-		n.guardSkips.Add(1)
-		return nil
-	}
-	applyWrite(n.eng, op)
+	*buf = run
+	writeRunPool.Put(buf)
 	return nil
 }
 
@@ -196,137 +218,55 @@ func (n *Node) snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engi
 	return sn.AppendScan(dst, start, limit), nil
 }
 
-// exec applies one sub-batch against the engine, fanning writes out to
-// the replica targets resolved at planning time, then releases the
-// waiter. Runs of consecutive replica-free writes coalesce into one
-// engine WriteBatch — one writer-lock acquisition and atomic visibility
-// for the whole run (group commit); interleaved reads and replicated
-// writes execute in order around them.
-func (n *Node) exec(req *request) {
-	i := 0
-	for i < len(req.ops) {
-		op := req.ops[i]
-		if op.Kind == OpGet || len(req.replicas[i]) > 0 || n.traced(op) {
-			var res OpResult
-			if op.Kind == OpGet {
-				res = n.do(op)
-			} else {
-				res, _ = n.directWrite(op, req.replicas[i])
-			}
-			if req.results != nil {
-				req.results[req.idx[i]] = res
-			}
+// execute applies one sub-batch against the engine in order — reads one
+// by one, each run of consecutive writes as one engine WriteBatch (one
+// writer-lock acquisition and atomic visibility for the run: group
+// commit) — then releases the waiter. A replicated sub-batch holds wmu
+// from its first op until the writes have been mirrored to the replica
+// targets resolved at planning time (replicate.go); a replica-free one
+// takes it only around each write run.
+//
+// A sub-batch holding a traced write records a "cluster/write" span
+// splitting the hop into its local-apply (exec) and mirror fan-out
+// (replicate) phases; the mirror legs are re-parented onto that span, so
+// a remote replica's own server span reports this hop as its parent via
+// the wire frame.
+func (n *Node) execute(req *request, _ bool) {
+	if req.replicated {
+		n.wmu.Lock()
+	}
+	span := beginWriteSpan(n.spans, req)
+	ops := req.ops
+	for i := 0; i < len(ops); {
+		if ops[i].Kind == OpGet {
+			v, ok := n.eng.Get(ops[i].Key)
+			req.results[req.idx[i]] = OpResult{Value: v, Found: ok, Applied: true}
 			i++
 			continue
 		}
-		j := i + 1
-		for j < len(req.ops) && req.ops[j].Kind != OpGet && len(req.replicas[j]) == 0 && !n.traced(req.ops[j]) {
-			j++
+		run := req.batch[:0]
+		for ; i < len(ops) && ops[i].Kind != OpGet; i++ {
+			n.markDirty(ops[i].Key)
+			run = append(run, batchOp(ops[i]))
+			req.results[req.idx[i]] = OpResult{Applied: true}
 		}
-		if j-i == 1 {
-			res, _ := n.directWrite(op, nil)
-			if req.results != nil {
-				req.results[req.idx[i]] = res
-			}
-			i = j
-			continue
+		req.batch = run
+		if req.replicated {
+			n.eng.WriteBatch(run)
+		} else {
+			n.wmu.Lock()
+			n.eng.WriteBatch(run)
+			n.wmu.Unlock()
 		}
-		batch := make([]engine.BatchOp, j-i)
-		for k := i; k < j; k++ {
-			n.markDirty(req.ops[k].Key)
-			batch[k-i] = engine.BatchOp{
-				Key:    req.ops[k].Key,
-				Value:  req.ops[k].Value,
-				Delete: req.ops[k].Kind == OpDelete,
-			}
-		}
-		n.wmu.Lock()
-		n.eng.WriteBatch(batch)
+	}
+	n.ops.Add(uint64(len(ops)))
+	span.execDone()
+	if req.replicated {
+		req.mirrorApplied()
 		n.wmu.Unlock()
-		n.ops.Add(uint64(j - i))
-		if req.results != nil {
-			for k := i; k < j; k++ {
-				req.results[req.idx[k]] = OpResult{}
-			}
-		}
-		i = j
 	}
-	if req.done != nil {
-		req.done.Done()
-	}
-}
-
-// traced reports whether op should record a cluster-layer span here.
-// Traced writes break out of coalesced WriteBatch runs (exec) so every
-// one goes through directWrite and leaves its hop in the span log.
-func (n *Node) traced(op Op) bool { return op.Trace != 0 && n.spans != nil }
-
-// directWrite applies one write to this node's engine and its replicas
-// as an atomic unit under the primary's write lock. The local apply
-// cannot fail; a replica whose mirror fails hints or counts the miss
-// itself (memberState.mirrorWrite), so the error is always nil.
-//
-// A traced write records a "cluster/write" span splitting the hop into
-// its local-apply (exec) and mirror fan-out (replicate) phases, and
-// re-parents the mirror legs onto that span — a remote replica's own
-// server span then reports this hop as its parent via the wire frame.
-func (n *Node) directWrite(op Op, replicas []mirror) (OpResult, error) {
-	n.wmu.Lock()
-	defer n.wmu.Unlock()
-	if !n.traced(op) {
-		res := n.do(op)
-		for _, re := range replicas {
-			_ = re.mirrorWrite(op)
-		}
-		return res, nil
-	}
-	span := obs.Span{
-		Trace: op.Trace, ID: obs.NewSpanID(), Parent: op.Parent,
-		Name: "cluster/write", Start: time.Now(),
-		Bytes: len(op.Key) + len(op.Value),
-	}
-	res := n.do(op)
-	execDone := time.Now()
-	op.Parent = span.ID
-	for _, re := range replicas {
-		_ = re.mirrorWrite(op)
-	}
-	span.Dur = time.Since(span.Start)
-	exec := execDone.Sub(span.Start)
-	span.Phases = []obs.Phase{
-		{Name: "exec", Dur: exec},
-		{Name: "replicate", Dur: span.Dur - exec},
-	}
-	n.spans.Record(span)
-	return res, nil
-}
-
-// do executes one op on this node's own engine.
-func (n *Node) do(op Op) OpResult {
-	n.ops.Add(1)
-	switch op.Kind {
-	case OpPut:
-		n.markDirty(op.Key)
-		n.eng.Put(op.Key, op.Value)
-		return OpResult{}
-	case OpDelete:
-		n.markDirty(op.Key)
-		n.eng.Delete(op.Key)
-		return OpResult{}
-	default:
-		v, ok := n.eng.Get(op.Key)
-		return OpResult{Value: v, Found: ok}
-	}
-}
-
-// applyWrite mirrors a write op onto a replica engine.
-func applyWrite(e engine.Engine, op Op) {
-	switch op.Kind {
-	case OpPut:
-		e.Put(op.Key, op.Value)
-	case OpDelete:
-		e.Delete(op.Key)
-	}
+	span.end(nil)
+	req.done.Done()
 }
 
 // trySubmit enqueues without blocking; a full queue sheds the request.

@@ -69,6 +69,8 @@ func TestNodeBatchCoalescing(t *testing.T) {
 		req := &request{
 			ops:      []Op{{Kind: OpPut, Key: []byte{byte(i)}, Value: []byte{byte(i)}}},
 			replicas: [][]mirror{nil},
+			results:  make([]OpResult, 1),
+			idx:      []int{0},
 			done:     &done,
 		}
 		if err := n.submit(req); err != nil {

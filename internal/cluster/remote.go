@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -25,8 +24,7 @@ type Remote interface {
 	Ping() error
 	// Get serves a point read from the remote shard.
 	Get(key []byte) ([]byte, bool, error)
-	// Put and Delete apply single unqueued writes (replica mirroring and
-	// rebalance traffic).
+	// Put and Delete apply single unqueued writes (rebalance traffic).
 	Put(key, value []byte) error
 	Delete(key []byte) error
 	// Scan returns up to limit entries with key >= start from a
@@ -34,7 +32,10 @@ type Remote interface {
 	Scan(start []byte, limit int) ([]engine.Entry, error)
 	// Apply executes a batch with backpressure; TryApply under admission
 	// control — a shed batch surfaces ErrOverload, possibly alongside
-	// the results of the accepted portion.
+	// the results of the accepted portion. Results come back positionally
+	// with OpResult.Applied exactly as the remote set it: replicated
+	// writes mirror on that bit. Apply also carries replica mirror
+	// batches and hint replays to members that are not elastic peers.
 	Apply(ops []Op) ([]OpResult, error)
 	TryApply(ops []Op) ([]OpResult, error)
 	// Stats snapshots the remote server's cluster-wide counters.
@@ -51,9 +52,6 @@ type Remote interface {
 // and alternative transports stay valid — they just don't propagate
 // traces.
 type tracedRemote interface {
-	GetTraced(trace, parent uint64, key []byte) ([]byte, bool, error)
-	PutTraced(trace, parent uint64, key, value []byte) error
-	DeleteTraced(trace, parent uint64, key []byte) error
 	ApplyTraced(trace, parent uint64, ops []Op) ([]OpResult, error)
 	TryApplyTraced(trace, parent uint64, ops []Op) ([]OpResult, error)
 }
@@ -82,17 +80,19 @@ type epochStamper interface {
 
 // localRemote is the optional store-only extension of Remote: operate on
 // the peer's own shard with no ring routing or replica fan-out on the
-// far side. ApplyLocal carries replica mirrors between elastic members
-// (a routed Put would re-replicate server-side, amplifying every mirror
-// into a storm) and migration copies (epoch carries the view they were
-// planned under; the receiver refuses mismatches with ErrWrongEpoch).
+// far side. ApplyLocal lands a batch of writes, in order, in one round
+// trip: replica mirror batches between elastic members (a routed write
+// would re-replicate server-side, amplifying every mirror into a storm;
+// ops carrying a trace id ride a traced frame) and chunks of migration
+// copies (epoch carries the view they were planned under; the receiver
+// refuses a mismatched frame with ErrWrongEpoch).
 // GetLocal is the read twin: a fallback read has already resolved
 // ownership on this side, and letting the peer re-route by its own —
 // possibly disagreeing — ring builds forwarding cycles during membership
 // changes. transport.Client implements both with OpMirror / OpGetLocal
 // frames.
 type localRemote interface {
-	ApplyLocal(op Op, migration bool, epoch uint64) error
+	ApplyLocal(ops []Op, migration bool, epoch uint64) error
 	GetLocal(key []byte) ([]byte, bool, error)
 }
 
@@ -118,7 +118,7 @@ func (c *Cluster) AddRemote(r Remote) (int, MoveReport, error) {
 	rm.tr, _ = r.(tracedRemote)
 	rm.gr, _ = r.(gossipRemote)
 	rm.lr, _ = r.(localRemote)
-	ms := newMemberState(rm, c.cfg.ProbeFailures, c.cfg.HintLimit)
+	ms := newMemberState(rm, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
 	ms.spans = c.spans
 	ms.events = c.events
 	c.nodes[id] = ms
@@ -148,19 +148,21 @@ type remoteMember struct {
 	// replicating coordinator and a routed write would fan out again.
 	localMirror bool
 	// spans, when non-nil, receives a "cluster/write" span for every
-	// traced replicated write this proxy leads, splitting the hop into
-	// exec (primary RPC) and replicate (mirror fan-out) phases.
+	// traced replicated sub-batch this proxy leads, splitting the hop
+	// into exec (primary RPC) and replicate (mirror fan-out) phases.
 	spans *obs.SpanLog
 
-	// wmu serializes replicated writes through this proxy, mirroring
+	// wmu serializes replicated sub-batches through this proxy, mirroring
 	// Node.wmu: every write for a key flows through its primary's proxy,
-	// so holding wmu across the primary RPC and the replica mirroring
-	// keeps replicas byte-identical to the primary.
+	// so holding wmu from the primary RPC to the last mirror ack keeps
+	// replicas byte-identical to the primary.
 	wmu sync.Mutex
 
-	// transportErrs counts every RPC failure this proxy observed. The
-	// void paths (directGet misses, dropped mirrors) have nothing else
-	// to report through; the counter surfaces in the member's
+	// transportErrs counts every RPC failure this proxy observed, plus
+	// every mirror batch the member refused for any reason (a shed leg
+	// is not a broken wire, but the copy still did not land). The void
+	// paths (directGet misses, hinted mirrors) have nothing else to
+	// report through; the counter surfaces in the member's
 	// NodeStats.TransportErrs so silent misses are at least visible.
 	transportErrs atomic.Uint64
 }
@@ -202,11 +204,6 @@ func (m *remoteMember) directGet(key []byte) ([]byte, bool, error) {
 }
 
 func (m *remoteMember) directPut(key, value []byte) error {
-	if m.localMirror && m.lr != nil {
-		// Hint replays and rebalance copies to an elastic peer must not
-		// re-replicate there; land them store-only.
-		return m.applyLocal(Op{Kind: OpPut, Key: key, Value: value}, false, 0)
-	}
 	err := m.r.Put(key, value)
 	if isTransportErr(err) {
 		m.transportErrs.Add(1)
@@ -215,9 +212,6 @@ func (m *remoteMember) directPut(key, value []byte) error {
 }
 
 func (m *remoteMember) directDelete(key []byte) error {
-	if m.localMirror && m.lr != nil {
-		return m.applyLocal(Op{Kind: OpDelete, Key: key}, false, 0)
-	}
 	err := m.r.Delete(key)
 	if isTransportErr(err) {
 		m.transportErrs.Add(1)
@@ -225,113 +219,45 @@ func (m *remoteMember) directDelete(key []byte) error {
 	return err
 }
 
-// applyLocal sends one store-only write (see localRemote).
-func (m *remoteMember) applyLocal(op Op, migration bool, epoch uint64) error {
-	if m.lr == nil {
-		// Non-elastic transports fall back to routed single writes — the
-		// legacy coordinator owns the only ring, so no re-replication.
-		switch op.Kind {
-		case OpPut:
-			return m.directPut(op.Key, op.Value)
-		case OpDelete:
-			return m.directDelete(op.Key)
-		}
-		return nil
+// storeOnly sends one store-only batch (see localRemote). Transports
+// without the capability take it as a routed blocking batch — the
+// legacy coordinator owns the only ring, so nothing re-replicates.
+func (m *remoteMember) storeOnly(ops []Op, migration bool, epoch uint64) error {
+	if m.lr != nil {
+		return m.lr.ApplyLocal(ops, migration, epoch)
 	}
-	err := m.lr.ApplyLocal(op, migration, epoch)
+	_, err := m.r.Apply(ops)
+	return err
+}
+
+// applyLocal pushes one chunk of migration copies (or any store-only
+// batch) at the member's own store.
+func (m *remoteMember) applyLocal(ops []Op, migration bool, epoch uint64) error {
+	err := m.storeOnly(ops, migration, epoch)
 	if isTransportErr(err) {
 		m.transportErrs.Add(1)
 	}
 	return err
 }
 
-// mirrorWrite reports a failed replica write (also counted in
-// TransportErrs) so the coordinator's health layer can buffer it as
-// hinted handoff instead of losing the copy. An op carrying a trace id
-// rides a traced frame when the transport supports it, so the replica
-// hop shows up in the remote's span log under the same trace.
-func (m *remoteMember) mirrorWrite(op Op) error {
-	if m.localMirror && m.lr != nil {
-		return m.applyLocal(op, false, 0)
+// mirrorBatch is one replica leg (or one chunk of hint replay): a
+// store-only apply to an elastic peer, the blocking batch RPC to anyone
+// else — traced when ops carry a trace id and the transport can forward
+// it, so the replica hop shows up in the remote's span log under the
+// same trace. Every failure is reported, and audited in TransportErrs
+// whatever its kind, so the health layer hints the batch instead of
+// losing the copy.
+func (m *remoteMember) mirrorBatch(ops []Op) error {
+	var err error
+	if m.localMirror {
+		err = m.storeOnly(ops, false, 0)
+	} else {
+		_, err = m.applyRPC(ops, false)
 	}
-	if op.Trace != 0 && m.tr != nil {
-		var err error
-		switch op.Kind {
-		case OpPut:
-			err = m.tr.PutTraced(op.Trace, op.Parent, op.Key, op.Value)
-		case OpDelete:
-			err = m.tr.DeleteTraced(op.Trace, op.Parent, op.Key)
-		default:
-			return nil
-		}
-		if isTransportErr(err) {
-			m.transportErrs.Add(1)
-		}
-		return err
+	if err != nil {
+		m.transportErrs.Add(1)
 	}
-	switch op.Kind {
-	case OpPut:
-		return m.directPut(op.Key, op.Value)
-	case OpDelete:
-		return m.directDelete(op.Key)
-	}
-	return nil
-}
-
-func (m *remoteMember) directWrite(op Op, replicas []mirror) (OpResult, error) {
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	span, traced := m.beginWriteSpan(&op)
-	if err := m.mirrorWrite(op); err != nil {
-		// The primary apply itself failed: report it rather than mirror
-		// a write that landed nowhere.
-		if traced {
-			span.Dur = time.Since(span.Start)
-			span.Err = err.Error()
-			m.spans.Record(span)
-		}
-		return OpResult{}, err
-	}
-	var primaryDone time.Time
-	if traced {
-		primaryDone = time.Now()
-	}
-	for _, rep := range replicas {
-		_ = rep.mirrorWrite(op)
-	}
-	if traced {
-		m.endWriteSpan(span, primaryDone)
-	}
-	return OpResult{}, nil
-}
-
-// beginWriteSpan opens the cluster-layer span for one traced replicated
-// write and re-parents op in place, so the primary RPC and every mirror
-// leg (and through the wire frames, the spans the remote servers record)
-// hang off this hop rather than its caller.
-func (m *remoteMember) beginWriteSpan(op *Op) (obs.Span, bool) {
-	if op.Trace == 0 || m.spans == nil {
-		return obs.Span{}, false
-	}
-	span := obs.Span{
-		Trace: op.Trace, ID: obs.NewSpanID(), Parent: op.Parent,
-		Name: "cluster/write", Start: time.Now(),
-		Bytes: len(op.Key) + len(op.Value),
-	}
-	op.Parent = span.ID
-	return span, true
-}
-
-// endWriteSpan closes a beginWriteSpan span, splitting its duration into
-// the primary-apply (exec) and mirror fan-out (replicate) phases.
-func (m *remoteMember) endWriteSpan(span obs.Span, primaryDone time.Time) {
-	span.Dur = time.Since(span.Start)
-	exec := primaryDone.Sub(span.Start)
-	span.Phases = []obs.Phase{
-		{Name: "exec", Dur: exec},
-		{Name: "replicate", Dur: span.Dur - exec},
-	}
-	m.spans.Record(span)
+	return err
 }
 
 func (m *remoteMember) snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
@@ -375,17 +301,6 @@ func (m *remoteMember) applyRPC(ops []Op, try bool) ([]OpResult, error) {
 	return m.r.Apply(ops)
 }
 
-// opsTrace returns the first nonzero trace id in ops and the parent
-// span it descends from (both zero when the run is untraced).
-func opsTrace(ops []Op) (trace, parent uint64) {
-	for i := range ops {
-		if ops[i].Trace != 0 {
-			return ops[i].Trace, ops[i].Parent
-		}
-	}
-	return 0, 0
-}
-
 // isTransportErr reports whether err is a transport-level failure, as
 // opposed to the remote executing fine and answering with one of the
 // cluster's own sentinels (a shed TryApply is admission control working,
@@ -396,89 +311,57 @@ func isTransportErr(err error) bool {
 		!errors.Is(err, ErrWrongEpoch)
 }
 
-// dispatch completes one sub-batch against the remote: RPC, positional
-// result fill, then replica mirroring. Replica-free batches travel as
-// one RPC. Ops carrying replicas go one RPC each, because mirroring
-// must track exactly what the primary applied: a batch that partially
-// fails (a shed TryApply, a broken wire) gives the proxy no per-op
-// outcome, and mirroring on guesswork diverges the replica set either
-// way. Per-op RPCs make success explicit — applied ops mirror, failed
-// ops don't, and the R-copy invariant holds under routine overload.
+// dispatch launches one sub-batch against the remote; see execute.
 func (m *remoteMember) dispatch(req *request, try bool) error {
 	// A method-valued goroutine start copies its arguments to the new
 	// stack without a closure allocation — this path runs per sub-batch.
-	go m.run(req, try)
+	go m.execute(req, try)
 	return nil
 }
 
-// run completes one dispatched sub-batch; see dispatch. The deferred
+// execute completes one sub-batch against the remote. A replica-free
+// one is a single RPC and a positional result fill. A replicated one
+// runs the pipeline of replicate.go under wmu: the whole sub-batch —
+// reads included, so a read after a write in the same batch sees it —
+// goes to the primary as one RPC, and the writes whose result came back
+// Applied then go to each replica target as one mirror batch. A shed
+// TryApply returns the applied portion's results beside ErrOverload, so
+// exactly that portion mirrors; a transport error returns none, so
+// nothing does, and the caller gets the error either way. The deferred
 // Done is the last touch on req — it may be recycled the instant the
 // coordinator's Wait unblocks.
-func (m *remoteMember) run(req *request, try bool) {
+func (m *remoteMember) execute(req *request, try bool) {
 	defer req.done.Done()
-	hasReplicas := false
-	for _, reps := range req.replicas {
-		if len(reps) > 0 {
-			hasReplicas = true
-			break
-		}
-	}
-	if !hasReplicas {
+	if !req.replicated {
 		res, err := m.applyRPC(req.ops, try)
-		m.fill(req, 0, len(req.ops), res, err)
+		m.fill(req, res, err)
 		return
 	}
 	m.wmu.Lock()
 	defer m.wmu.Unlock()
-	i := 0
-	for i < len(req.ops) {
-		if len(req.replicas[i]) == 0 {
-			// Coalesce the replica-free run into one RPC.
-			j := i + 1
-			for j < len(req.ops) && len(req.replicas[j]) == 0 {
-				j++
-			}
-			res, err := m.applyRPC(req.ops[i:j], try)
-			m.fill(req, i, j, res, err)
-			i = j
-			continue
-		}
-		span, traced := m.beginWriteSpan(&req.ops[i])
-		res, err := m.applyRPC(req.ops[i:i+1], try)
-		m.fill(req, i, i+1, res, err)
-		var primaryDone time.Time
-		if traced {
-			primaryDone = time.Now()
-		}
-		if err == nil {
-			for _, rep := range req.replicas[i] {
-				_ = rep.mirrorWrite(req.ops[i])
-			}
-		}
-		if traced {
-			if err != nil {
-				span.Err = err.Error()
-			}
-			m.endWriteSpan(span, primaryDone)
-		}
-		i++
-	}
+	span := beginWriteSpan(m.spans, req)
+	res, err := m.applyRPC(req.ops, try)
+	m.fill(req, res, err)
+	span.execDone()
+	req.mirrorApplied()
+	span.end(err)
 }
 
-// fill lands one RPC's outcome: positional results plus any failure.
-func (m *remoteMember) fill(req *request, lo, hi int, res []OpResult, err error) {
+// fill lands one RPC's outcome: positional results plus any failure,
+// which also feeds the owning member's failure detector (request.fail).
+func (m *remoteMember) fill(req *request, res []OpResult, err error) {
 	if err != nil {
 		if isTransportErr(err) {
 			m.transportErrs.Add(1)
 		}
 		req.fail(err)
+	} else if req.owner != nil {
+		req.owner.noteSuccess()
 	}
-	if req.results != nil {
-		// A shed batch may return fewer results than ops; a buggy
-		// remote could return more. Fill only the overlap.
-		for i := 0; i < len(res) && lo+i < hi; i++ {
-			req.results[req.idx[lo+i]] = res[i]
-		}
+	// A shed batch may return fewer results than ops; a buggy remote
+	// could return more. Fill only the overlap.
+	for i := 0; i < len(res) && i < len(req.ops); i++ {
+		req.results[req.idx[i]] = res[i]
 	}
 }
 

@@ -115,31 +115,40 @@ func (r *Ring) search(key []byte) int {
 // Owners returns the first n distinct members clockwise from the key's
 // hash: the primary followed by its replica successors. Fewer than n are
 // returned when the ring has fewer members. The result is freshly
-// allocated, but dedup is a linear probe of the small result — R is a
-// handful — so the per-op routing cost stays flat in vnode count.
+// allocated; AppendOwners is the form for callers that keep a buffer.
 func (r *Ring) Owners(key []byte, n int) []int {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
+	}
+	return r.AppendOwners(make([]int, 0, min(n, len(r.member))), key, n)
+}
+
+// AppendOwners is Owners appending to dst. Dedup is a linear probe of
+// the small result — R is a handful — so the per-op routing cost stays
+// flat in vnode count.
+func (r *Ring) AppendOwners(dst []int, key []byte, n int) []int {
+	if len(r.points) == 0 {
+		return dst
 	}
 	if n > len(r.member) {
 		n = len(r.member)
 	}
 	start := r.search(key)
-	out := make([]int, 0, n)
-	for i := 0; len(out) < n && i < len(r.points); i++ {
+	base := len(dst)
+	for i := 0; len(dst)-base < n && i < len(r.points); i++ {
 		p := r.points[(start+i)%len(r.points)]
 		dup := false
-		for _, o := range out {
+		for _, o := range dst[base:] {
 			if o == p.node {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			out = append(out, p.node)
+			dst = append(dst, p.node)
 		}
 	}
-	return out
+	return dst
 }
 
 // Clone returns an independent copy, used to plan membership changes

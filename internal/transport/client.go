@@ -897,18 +897,29 @@ func (c *Client) Gossip(view []byte) (merged []byte, err error) {
 	return merged, err
 }
 
-// ApplyLocal lands one store-only write on the remote member: no
-// replica fan-out on the far side. Replica mirrors and hint replays
-// (migration=false) always apply; migration copies (migration=true)
-// carry the epoch they were planned under and come back as
-// cluster.ErrWrongEpoch when the destination has moved on.
-func (c *Client) ApplyLocal(op cluster.Op, migration bool, epoch uint64) error {
+// ApplyLocal lands a batch of store-only writes, in order, on the remote
+// member in one round trip: no replica fan-out on the far side. Replica
+// mirror batches and hint replays (migration=false) always apply, and
+// ride a traced frame when the ops carry a trace id, so the replica's
+// server span parents onto the hop that issued the mirror; chunks of
+// migration copies (migration=true) carry the epoch they were planned
+// under and come back as cluster.ErrWrongEpoch when the destination has
+// moved on.
+func (c *Client) ApplyLocal(ops []cluster.Op, migration bool, epoch uint64) error {
+	var trace, parent uint64
+	for i := range ops {
+		if ops[i].Trace != 0 {
+			trace, parent = ops[i].Trace, ops[i].Parent
+			break
+		}
+	}
 	return c.withRetry(func() error {
-		n := encodedMirrorLen(op, migration)
-		f := getFrame(frameHeadLen(0, 0) + n)
-		f.b = beginRequest(f.b[:0], OpMirror, 0, 0)
-		f.b = finishFrame(EncodeMirror(f.b, op, migration, epoch))
-		r, err := c.callFrame(callTrace{}, OpMirror, f, n)
+		ct := c.newCallTrace(trace, parent)
+		n := encodedMirrorLen(ops, migration)
+		f := getFrame(frameHeadLen(ct.trace, 0) + n)
+		f.b = beginRequest(f.b[:0], OpMirror, ct.trace, ct.span)
+		f.b = finishFrame(EncodeMirror(f.b, ops, migration, epoch))
+		r, err := c.callFrame(ct, OpMirror, f, n)
 		if err != nil {
 			return err
 		}

@@ -29,20 +29,26 @@
 // the read loops, lets every admitted request finish and flush its
 // response, then closes the connections.
 //
-// Consistency note: replicated writes whose primary is remote are
-// serialized through the primary's proxy (one coordinator process), so
-// while the replica set is healthy, replicas stay byte-identical to
-// the primary exactly as in-process. Failover promotion weakens this:
+// Consistency note: a sub-batch of replicated writes whose primary is
+// remote costs one batch RPC to the primary and one mirror RPC per
+// replica, serialized through the primary's proxy (one coordinator
+// process) from the first to the last ack, so while the replica set is
+// healthy, replicas stay byte-identical to the primary exactly as
+// in-process. Failover promotion weakens this:
 // a false-positive down verdict moves the write lead (and its
 // serializing lock) to another member, so concurrent writes of one key
 // straddling the flip can apply in different orders on different
 // copies — ops carry no versions, so nothing fences the stale order
 // (see DESIGN.md §9 for the limits of the failure model).
-// If a batch RPC fails partway, its replica mirroring is skipped — the
-// proxy cannot know which ops the remote applied. The coordinator's
-// health layer buffers the skipped mirrors as hinted handoff and
-// replays them when the member answers probes again, so a transport
-// failure degrades the R-copy invariant to "eventually R copies"
+// Mirroring tracks the per-op applied bit batch results carry
+// (RespResults' outcome byte): a partly shed TryApply mirrors exactly
+// the applied portion, and a primary RPC that dies on the wire mirrors
+// nothing — no result came back, the proxy cannot know which ops the
+// remote applied, and the caller gets the error. Once the primary has
+// applied, a mirror RPC that fails for any reason is buffered by the
+// coordinator's health layer as hinted handoff and replayed, in chunked
+// batches, when the member answers probes again, so a failure on the
+// replica side degrades the R-copy invariant to "eventually R copies"
 // rather than silently shedding one.
 //
 // Liveness: OpPing is answered straight from the server's read loop

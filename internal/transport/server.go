@@ -82,16 +82,17 @@ type viewHost interface {
 
 // localApplier is the optional Backend capability OpMirror and
 // OpGetLocal land on: store-only operations that must not re-enter the
-// destination's routing or replication fan-out. Store-only writes
-// (replica mirrors, hint replays, migration copies) skip the replication
-// fan-out; migration copies carry the epoch they were planned under and
-// the backend refuses mismatches with cluster.ErrWrongEpoch so a sender
-// never mistakes a dropped copy for a delivered one. Store-only reads
+// destination's routing or replication fan-out. Store-only write
+// batches (replica mirrors, hint replays, migration chunks) skip the
+// replication fan-out; a migration chunk carries the epoch it was
+// planned under and the backend refuses a mismatch with
+// cluster.ErrWrongEpoch so a sender never mistakes dropped copies for
+// delivered ones. Store-only reads
 // answer from the member's own shard without re-resolving ownership —
 // the receiver's ring may disagree with the sender's mid-membership-
 // change, and re-routing there is how forwarding cycles start.
 type localApplier interface {
-	ApplyLocal(op cluster.Op, migration bool, epoch uint64) error
+	ApplyLocal(ops []cluster.Op, migration bool, epoch uint64) error
 	GetLocal(key []byte) ([]byte, bool, error)
 }
 
@@ -106,8 +107,9 @@ type epochHost interface {
 }
 
 // batchScratch is the pooled per-request decode/execute scratch for
-// OpBatch: the decoded ops (aliasing the request frame) and the result
-// slots. Released back to batchPool after the response frame is encoded.
+// OpBatch and OpMirror: the decoded ops (aliasing the request frame) and
+// the result slots. Released back to batchPool after the response frame
+// is encoded.
 type batchScratch struct {
 	ops []cluster.Op
 	res []cluster.OpResult
@@ -391,9 +393,13 @@ func (cs *connState) serveReq(id uint64, tc traceCtx, op Opcode, pf *frame, payl
 	}
 	resp := s.dispatch(id, tc, op, payload)
 	putFrame(pf)
+	// Account before responding: once a traced call has its answer, this
+	// hop's span is already in the ring — a caller that collects spans
+	// right after (one mirror RPC is the last a replica sees of a
+	// replicated batch) never outruns the record.
+	s.observe(op, tc, start, admitted, n)
 	cs.out <- resp
 	s.served.Add(1)
-	s.observe(op, tc, start, admitted, n)
 	<-s.tokens
 	cs.reqs.Done()
 }
@@ -843,11 +849,14 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		if s.localApply == nil {
 			return errFrame(id, errors.New("transport: server hosts no elastic cluster"))
 		}
-		mop, migration, epoch, err := DecodeMirror(payload)
-		if err != nil {
-			return errFrame(id, err)
+		sc := batchPool.Get().(*batchScratch)
+		ops, migration, epoch, err := DecodeMirrorAppend(sc.ops[:0], payload)
+		if err == nil {
+			sc.ops = ops
+			err = s.localApply.ApplyLocal(ops, migration, epoch)
 		}
-		if err := s.localApply.ApplyLocal(mop, migration, epoch); err != nil {
+		batchPool.Put(sc)
+		if err != nil {
 			return errFrame(id, err)
 		}
 		return okFrame(id)

@@ -11,8 +11,9 @@ import (
 )
 
 // pollSpans fetches trace spans from fetch until want spans arrive or
-// the deadline passes — server-side span recording (observe) runs after
-// the response is flushed, so the client can outrun the span log.
+// the deadline passes. A server records its span before answering, so
+// the first fetch normally has them all; the poll only guards against a
+// hop still in flight.
 func pollSpans(t *testing.T, want int, fetch func() ([]obs.Span, error)) []obs.Span {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)

@@ -72,11 +72,12 @@ const (
 	// doubles as both the liveness probe and the state exchange.
 	OpGossip Opcode = 0x0C // payload: encoded cluster view
 
-	// OpMirror is a local-only write: apply to this node's engine, do NOT
-	// re-replicate. Replica mirrors and migration copies travel on it —
-	// routed OpPut at an elastic member would fan out again server-side
-	// (view.R > 1), turning every mirror into a replication storm.
-	OpMirror Opcode = 0x0D // payload: flags u8 | kind u8 | klen u32 | key | value
+	// OpMirror is a batch of local-only writes: apply them, in order, to
+	// this node's engine, do NOT re-replicate. Replica mirror batches and
+	// chunks of migration copies travel on it — routed writes at an
+	// elastic member would fan out again server-side (view.R > 1),
+	// turning every mirror into a replication storm.
+	OpMirror Opcode = 0x0D // payload: flags u8 | [epoch u64] | count u32 | ops (as OpBatch)
 
 	// OpGetLocal is the read twin of OpMirror: answer from this member's
 	// own store, do NOT route by ring. Member-to-member reads (replica
@@ -111,7 +112,7 @@ const (
 	RespValue   Opcode = 0x81 // payload: found u8 | value
 	RespOK      Opcode = 0x82 // payload: empty
 	RespEntries Opcode = 0x83 // payload: more u8 | count u32 | (klen u32|key|vlen u32|value)*
-	RespResults Opcode = 0x84 // payload: errcode u8 | msglen u32 | msg | count u32 | (found u8|vlen u32|value)*
+	RespResults Opcode = 0x84 // payload: errcode u8 | msglen u32 | msg | count u32 | (outcome u8|vlen u32|value)*
 	RespStats   Opcode = 0x85 // payload: node count u32 | node stats*
 	// RespTask acks a task submission with the executor-local task id.
 	RespTask Opcode = 0x86 // payload: task id u64
@@ -237,57 +238,58 @@ const (
 	errCodeWrongEpoch = 0x05 // maps to cluster.ErrWrongEpoch
 )
 
-// MirrorFlagMigration marks an OpMirror write as a migration copy (a
-// rebalance moving a settled key) rather than a live replica mirror.
-// The receiver's dirty-key guard drops migration copies for keys a
-// fresher live write already touched — the copy is stale by definition —
-// while live mirrors always apply and mark the key dirty.
+// MirrorFlagMigration marks an OpMirror frame as a chunk of migration
+// copies (a rebalance moving settled keys) rather than a live replica
+// mirror batch. The receiver's dirty-key guard drops the migration copy
+// of any key a fresher live write already touched — the copy is stale by
+// definition — while live mirrors always apply and mark their keys dirty.
 const MirrorFlagMigration = 0x01
 
-// EncodeMirror appends an OpMirror payload. kind is the cluster op kind
-// (put or delete); value is ignored for deletes. Migration copies carry
-// the epoch they were planned under: the receiver rejects copies from an
-// epoch it has not adopted (its guard is not armed yet — the copy would
-// be dropped on the floor) or has already left behind, with
-// cluster.ErrWrongEpoch telling the sender to retry after gossip
-// converges.
-func EncodeMirror(dst []byte, op cluster.Op, migration bool, epoch uint64) []byte {
-	flags := byte(0)
+// EncodeMirror appends an OpMirror payload: ops are puts and deletes, in
+// the order they must land. A migration chunk carries the epoch it was
+// planned under: the receiver rejects a chunk from an epoch it has not
+// adopted (its guard is not armed yet — the copies would be dropped on
+// the floor) or has already left behind, with cluster.ErrWrongEpoch
+// telling the sender to retry after gossip converges.
+func EncodeMirror(dst []byte, ops []cluster.Op, migration bool, epoch uint64) []byte {
 	if migration {
-		flags = MirrorFlagMigration
-	}
-	dst = append(dst, flags, byte(op.Kind))
-	if migration {
+		dst = append(dst, MirrorFlagMigration)
 		dst = binary.BigEndian.AppendUint64(dst, epoch)
+	} else {
+		dst = append(dst, 0)
 	}
-	return append(appendBytes32(dst, op.Key), op.Value...)
+	return appendOps(dst, ops)
 }
 
-// DecodeMirror splits an OpMirror payload (key and value alias p).
-func DecodeMirror(p []byte) (op cluster.Op, migration bool, epoch uint64, err error) {
-	if len(p) < 2 {
-		return cluster.Op{}, false, 0, ErrMalformed
+// DecodeMirrorAppend parses an OpMirror payload, appending the decoded
+// ops to dst (reusing its capacity); keys and values alias p.
+func DecodeMirrorAppend(dst []cluster.Op, p []byte) (ops []cluster.Op, migration bool, epoch uint64, err error) {
+	if len(p) < 1 {
+		return nil, false, 0, ErrMalformed
 	}
 	migration = p[0]&MirrorFlagMigration != 0
-	op.Kind = cluster.OpKind(p[1])
-	if op.Kind != cluster.OpPut && op.Kind != cluster.OpDelete {
-		return cluster.Op{}, false, 0, ErrMalformed
-	}
-	p = p[2:]
+	p = p[1:]
 	if migration {
 		if len(p) < 8 {
-			return cluster.Op{}, false, 0, ErrMalformed
+			return nil, false, 0, ErrMalformed
 		}
 		epoch = binary.BigEndian.Uint64(p)
 		p = p[8:]
 	}
-	op.Key, op.Value, err = takeBytes32(p)
-	return op, migration, epoch, err
+	if ops, err = takeOps(dst, p); err != nil {
+		return nil, false, 0, err
+	}
+	for i := range ops {
+		if ops[i].Kind == cluster.OpGet {
+			return nil, false, 0, ErrMalformed // a mirror carries writes only
+		}
+	}
+	return ops, migration, epoch, nil
 }
 
-// encodedMirrorLen is the OpMirror payload size for op.
-func encodedMirrorLen(op cluster.Op, migration bool) int {
-	n := 2 + 4 + len(op.Key) + len(op.Value)
+// encodedMirrorLen is the OpMirror payload size for ops.
+func encodedMirrorLen(ops []cluster.Op, migration bool) int {
+	n := 1 + encodedOpsLen(ops)
 	if migration {
 		n += 8
 	}
@@ -526,7 +528,12 @@ func EncodeBatch(dst []byte, ops []cluster.Op, try bool) []byte {
 	if try {
 		flags |= batchFlagTry
 	}
-	dst = append(dst, flags)
+	return appendOps(append(dst, flags), ops)
+}
+
+// appendOps appends the op list OpBatch and OpMirror share:
+// count u32 | (kind u8 | klen u32 | key | [vlen u32 | value, puts only])*.
+func appendOps(dst []byte, ops []cluster.Op) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(ops)))
 	for _, op := range ops {
 		dst = append(dst, byte(op.Kind))
@@ -548,17 +555,26 @@ func DecodeBatch(p []byte) (ops []cluster.Op, try bool, err error) {
 // DecodeBatch for callers that hold a pooled op slice. Keys and values
 // alias p.
 func DecodeBatchAppend(dst []cluster.Op, p []byte) (ops []cluster.Op, try bool, err error) {
-	if len(p) < 5 {
+	if len(p) < 1 {
 		return nil, false, ErrMalformed
 	}
-	try = p[0]&batchFlagTry != 0
-	count := binary.BigEndian.Uint32(p[1:])
-	p = p[5:]
+	ops, err = takeOps(dst, p[1:])
+	return ops, p[0]&batchFlagTry != 0, err
+}
+
+// takeOps parses an appendOps list that must fill p exactly, appending
+// to dst; keys and values alias p.
+func takeOps(dst []cluster.Op, p []byte) (ops []cluster.Op, err error) {
+	if len(p) < 4 {
+		return nil, ErrMalformed
+	}
+	count := binary.BigEndian.Uint32(p)
+	p = p[4:]
 	// Each op is at least 5 bytes (kind + key length), so a count that
 	// exceeds the remaining bytes is malformed — reject before
 	// allocating for it.
 	if uint64(count)*5 > uint64(len(p)) {
-		return nil, false, ErrMalformed
+		return nil, ErrMalformed
 	}
 	ops = dst
 	if cap(ops) == 0 {
@@ -566,29 +582,29 @@ func DecodeBatchAppend(dst []cluster.Op, p []byte) (ops []cluster.Op, try bool, 
 	}
 	for i := uint32(0); i < count; i++ {
 		if len(p) < 1 {
-			return nil, false, ErrMalformed
+			return nil, ErrMalformed
 		}
 		kind := cluster.OpKind(p[0])
 		if kind != cluster.OpGet && kind != cluster.OpPut && kind != cluster.OpDelete {
-			return nil, false, ErrMalformed
+			return nil, ErrMalformed
 		}
 		var key, value []byte
 		key, p, err = takeBytes32(p[1:])
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if kind == cluster.OpPut {
 			value, p, err = takeBytes32(p)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
 		ops = append(ops, cluster.Op{Kind: kind, Key: key, Value: value})
 	}
 	if len(p) != 0 {
-		return nil, false, ErrMalformed
+		return nil, ErrMalformed
 	}
-	return ops, try, nil
+	return ops, nil
 }
 
 // EncodeValue appends a RespValue payload.
@@ -661,20 +677,31 @@ func DecodeEntries(p []byte) ([]engine.Entry, bool, error) {
 	return entries, more, nil
 }
 
+// Bits of a RespResults per-result outcome byte.
+const (
+	resultFound   = 0x01 // OpResult.Found
+	resultApplied = 0x02 // OpResult.Applied
+)
+
 // EncodeResults appends a RespResults payload. A non-nil err rides along
 // as its code and message so partial results (TryApply under overload)
-// and the failure detail both survive the trip.
+// and the failure detail both survive the trip; each result's outcome
+// byte says whether the op was applied at all, which is what lets the
+// caller mirror exactly the applied part of a partially shed batch.
 func EncodeResults(dst []byte, res []cluster.OpResult, err error) []byte {
 	code, msg := errorCode(err)
 	dst = append(dst, code)
 	dst = appendBytes32(dst, []byte(msg))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(res)))
 	for _, r := range res {
+		var outcome byte
 		if r.Found {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
+			outcome |= resultFound
 		}
+		if r.Applied {
+			outcome |= resultApplied
+		}
+		dst = append(dst, outcome)
 		dst = appendBytes32(dst, r.Value)
 	}
 	return dst
@@ -706,7 +733,7 @@ func DecodeResults(p []byte) (res []cluster.OpResult, err, decodeErr error) {
 		if len(p) < 1 {
 			return nil, nil, ErrMalformed
 		}
-		found := p[0] != 0
+		found, applied := p[0]&resultFound != 0, p[0]&resultApplied != 0
 		var value []byte
 		value, p, decodeErr = takeBytes32(p[1:])
 		if decodeErr != nil {
@@ -715,7 +742,7 @@ func DecodeResults(p []byte) (res []cluster.OpResult, err, decodeErr error) {
 		if !found {
 			value = nil
 		}
-		res = append(res, cluster.OpResult{Value: value, Found: found})
+		res = append(res, cluster.OpResult{Value: value, Found: found, Applied: applied})
 	}
 	if len(p) != 0 {
 		return nil, nil, ErrMalformed
@@ -1060,8 +1087,11 @@ func DecodeChunk(p []byte) (data []byte, more bool, err error) {
 // frames in big classes, under-requesting re-allocates mid-append.
 
 // encodedBatchLen is the payload size EncodeBatch will produce for ops.
-func encodedBatchLen(ops []cluster.Op) int {
-	n := 5
+func encodedBatchLen(ops []cluster.Op) int { return 1 + encodedOpsLen(ops) }
+
+// encodedOpsLen is the size appendOps will produce for ops.
+func encodedOpsLen(ops []cluster.Op) int {
+	n := 4
 	for i := range ops {
 		n += 5 + len(ops[i].Key)
 		if ops[i].Kind == cluster.OpPut {

@@ -113,6 +113,32 @@ func TestBatchRoundTrip(t *testing.T) {
 				t.Fatalf("iter %d op %d value mismatch", iter, i)
 			}
 		}
+
+		// The same op list rides OpMirror — writes only, plus the epoch
+		// on a migration chunk.
+		var writes []cluster.Op
+		for _, op := range ops {
+			if op.Kind != cluster.OpGet {
+				writes = append(writes, op)
+			}
+		}
+		migration, epoch := try, uint64(iter)
+		mirrored, gotMig, gotEpoch, err := DecodeMirrorAppend(nil, EncodeMirror(nil, writes, migration, epoch))
+		if err != nil || gotMig != migration || len(mirrored) != len(writes) || (migration && gotEpoch != epoch) {
+			t.Fatalf("iter %d mirror: %v migration=%v epoch=%d len=%d, want %v/%d/%d",
+				iter, err, gotMig, gotEpoch, len(mirrored), migration, epoch, len(writes))
+		}
+		for i := range writes {
+			if mirrored[i].Kind != writes[i].Kind || !bytes.Equal(mirrored[i].Key, writes[i].Key) ||
+				!bytes.Equal(mirrored[i].Value, writes[i].Value) {
+				t.Fatalf("iter %d mirrored op %d mismatch", iter, i)
+			}
+		}
+		if len(writes) < len(ops) {
+			if _, _, _, err := DecodeMirrorAppend(nil, EncodeMirror(nil, ops, false, 0)); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("iter %d: mirror payload carrying a read decoded: %v", iter, err)
+			}
+		}
 	}
 }
 
@@ -163,6 +189,7 @@ func TestEntriesResultsRoundTrip(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				res[i] = cluster.OpResult{Found: true, Value: []byte{byte(i)}}
 			}
+			res[i].Applied = rng.Intn(2) == 0
 		}
 		var execErr error
 		if rng.Intn(2) == 0 {
@@ -176,7 +203,7 @@ func TestEntriesResultsRoundTrip(t *testing.T) {
 			t.Fatalf("results iter %d err = %v, want %v", iter, gotErr, execErr)
 		}
 		for i := range res {
-			if gotRes[i].Found != res[i].Found || !bytes.Equal(gotRes[i].Value, res[i].Value) {
+			if gotRes[i].Found != res[i].Found || gotRes[i].Applied != res[i].Applied || !bytes.Equal(gotRes[i].Value, res[i].Value) {
 				t.Fatalf("results iter %d idx %d mismatch", iter, i)
 			}
 		}

@@ -19,10 +19,14 @@
 #   federation — one bdtop poll of the net-phase servers (-once -json):
 #               every member's exact registry snapshot fetched over the
 #               wire and merged, embedded whole as the PR 10 marker
+#   replicated — BenchmarkTransport/net/r=2/depth=8: half-write batches
+#               at R=2 over two loopback servers (one primary and one
+#               mirror RPC per sub-batch), replicas compared entry for
+#               entry after the run — the PR 12 marker
 #
 # Usage: sh scripts/record_bench.sh [out.json] [pr] [prev.json]
-#   out.json  — artifact path (default BENCH_10.json)
-#   pr        — PR number stamped into the artifact (default 10)
+#   out.json  — artifact path (default BENCH_12.json)
+#   pr        — PR number stamped into the artifact (default 12)
 #   prev.json — previous trajectory point; when it exists, a vsPrev
 #               section with throughput deltas is embedded
 # Run from the repo root. CI uploads the result as an artifact so every
@@ -30,9 +34,9 @@
 # durable history.
 set -e
 
-OUT="${1:-BENCH_10.json}"
-PR="${2:-10}"
-PREV="${3:-BENCH_9.json}"
+OUT="${1:-BENCH_12.json}"
+PR="${2:-12}"
+PREV="${3:-BENCH_10.json}"
 BIN="$(mktemp -d)"
 P1=""
 P2=""
@@ -82,6 +86,14 @@ P2=""
 "$BIN/bdbench" -analytics wordcount -nodes 2 -lines 8000 \
     -json "$BIN/analytics.json" >/dev/null
 
+# ---- replicated-write point (go test -bench) ----------------------------
+go test -run '^$' -bench 'BenchmarkTransport/net/r=2' -benchtime 5000x -benchmem . >"$BIN/r2.txt"
+awk '/^BenchmarkTransport\/net\/r=2/ {
+        for (i = 3; i < NF; i += 2) m[$(i + 1)] = $i
+        printf "{\"bench\": \"%s\", \"batches\": %d, \"opsPerSec\": %s, \"latP99Us\": %s, \"allocsPerBatch\": %s}\n",
+            $1, $2, m["ops/s"], m["p99us"], m["allocs/op"]
+    }' "$BIN/r2.txt" >"$BIN/replicated.json"
+
 # ---- assemble + validate ------------------------------------------------
 GO_VERSION="$(go env GOVERSION)" jq -n \
     --slurpfile workload_read "$BIN/w_read.json" \
@@ -90,6 +102,7 @@ GO_VERSION="$(go env GOVERSION)" jq -n \
     --slurpfile analytics "$BIN/analytics.json" \
     --slurpfile resize "$BIN/resize.json" \
     --slurpfile federation "$BIN/federation.json" \
+    --slurpfile replicated "$BIN/replicated.json" \
     --argjson pr "$PR" \
     '{
         schema: "bdbench-trajectory/1",
@@ -99,7 +112,8 @@ GO_VERSION="$(go env GOVERSION)" jq -n \
         net: $net[0],
         analytics: $analytics[0],
         resize: $resize[0],
-        federation: $federation[0]
+        federation: $federation[0],
+        replicated: $replicated[0]
     }' >"$OUT"
 
 # Fold in throughput deltas against the previous trajectory point, so
@@ -111,6 +125,7 @@ if [ -f "$PREV" ]; then
             pr: $prev[0].pr,
             netOpsPerSecPct: pct(.net.opsPerSec; $prev[0].net.opsPerSec),
             netLatP99UsPct: pct(.net.latP99Us; $prev[0].net.latP99Us),
+            replicatedOpsPerSecPct: pct(.replicated.opsPerSec; $prev[0].replicated.opsPerSec),
             analyticsItemsPerSecPct: pct(.analytics.itemsPerSec; $prev[0].analytics.itemsPerSec),
             workloadPct: [.workload[] as $w | {
                 workload: $w.workload,
@@ -134,6 +149,7 @@ jq -e \
      (.federation.nodes | length) == 2 and
      (.federation.errors // {} | length) == 0 and
      ([.federation.merged.families[] | select(.name == "bd_transport_requests_total") | .series[].value] | add) > 0 and
+     .replicated.opsPerSec > 0 and
      (.workload | length) == 2' \
     "$OUT" >/dev/null || {
     echo "record_bench: $OUT failed validation" >&2

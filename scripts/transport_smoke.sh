@@ -8,8 +8,9 @@
 # Phase 2 — failover: two bdserve processes joined with replication 2,
 # bdbench -net -chaos driving load for a fixed duration while one server
 # is SIGKILLed mid-run and restarted. The client must keep serving from
-# the surviving replica (exit 0), and the restarted server must rejoin
-# and drain cleanly.
+# the surviving replica (exit 0), the restarted server must rejoin, the
+# writes it missed must reach it through the chunked hint replay (batch
+# frames, none pending at exit), and both servers must drain cleanly.
 #
 # Phase 3 — distributed analytics: a wordcount job planned across the
 # two bdserve processes' task executors, its result digest diffed
@@ -69,6 +70,14 @@ trap cleanup EXIT
 go build -o "$BIN/bdserve" ./cmd/bdserve
 go build -o "$BIN/bdbench" ./cmd/bdbench
 
+fetch() {
+    if command -v curl >/dev/null 2>&1; then
+        curl -sf "$1"
+    else
+        wget -qO- "$1"
+    fi
+}
+
 # ---- Phase 1: serve + graceful drain ------------------------------------
 
 A1=127.0.0.1:7471
@@ -99,6 +108,7 @@ echo "transport smoke: OK (graceful drain on both servers)"
 
 A3=127.0.0.1:7473
 A4=127.0.0.1:7474
+L3=127.0.0.1:7489
 "$BIN/bdserve" -addr "$A3" -quiet &
 P1=$!
 "$BIN/bdserve" -addr "$A4" -quiet &
@@ -107,7 +117,8 @@ P2=$!
 # Replication 2 across the two servers; -chaos makes the client tolerate
 # (and count) the batches that die with the member while the coordinator
 # fails over. The kill below is the real thing: SIGKILL, no drain.
-"$BIN/bdbench" -net -chaos -addr "$A3,$A4" -replication 2 -dur 4s -rows 500 -clients 4 &
+"$BIN/bdbench" -net -chaos -addr "$A3,$A4" -replication 2 -dur 4s -rows 500 -clients 4 \
+    -json "$BIN/phase2.json" &
 PB=$!
 
 sleep 1
@@ -115,8 +126,9 @@ kill -KILL "$P1"
 echo "transport smoke: SIGKILLed server $A3 mid-run"
 sleep 1
 # Restart on the same address: the coordinator's prober must see it
-# rejoin and replay the writes it missed (hinted handoff).
-"$BIN/bdserve" -addr "$A3" -quiet &
+# rejoin and replay the writes it missed (hinted handoff). The restarted
+# process serves /metrics so the replay can be observed from its side.
+"$BIN/bdserve" -addr "$A3" -livez "$L3" -quiet &
 P1=$!
 
 EB=0
@@ -126,6 +138,30 @@ if [ "$EB" -ne 0 ]; then
     echo "transport smoke: chaos client exited $EB, want 0 (serving did not survive the kill)" >&2
     exit 1
 fi
+# The writes the killed member missed must have arrived after the
+# restart, through the chunked replay: the coordinator counts them
+# replayed with none left pending, and the restarted server — which came
+# back empty — holds at least that many writes, every one delivered in a
+# batch frame (a per-op replay would show as put frames).
+REPLAYED=$(sed -n 's/.*"bd_cluster_hints_replayed_total": \([0-9][0-9]*\).*/\1/p' "$BIN/phase2.json")
+if [ -z "$REPLAYED" ] || [ "$REPLAYED" -lt 1 ] || ! grep -q '"bd_cluster_hints_pending": 0' "$BIN/phase2.json"; then
+    echo "transport smoke: hinted writes not replayed across the restart (replayed=${REPLAYED:-none})" >&2
+    grep 'hints' "$BIN/phase2.json" >&2 || true
+    exit 1
+fi
+M3=$(fetch "http://$L3/metrics")
+PUTS=$(printf '%s\n' "$M3" | sed -n 's/^bd_engine_puts_total \([0-9][0-9]*\)$/\1/p')
+if [ -z "$PUTS" ] || [ "$PUTS" -lt "$REPLAYED" ]; then
+    echo "transport smoke: restarted server holds ${PUTS:-no} writes, fewer than the $REPLAYED hints replayed" >&2
+    exit 1
+fi
+if ! printf '%s\n' "$M3" | grep -Eq '^bd_transport_requests_total\{op="batch"\} [1-9]' ||
+    ! printf '%s\n' "$M3" | grep -q '^bd_transport_requests_total{op="put"} 0$'; then
+    echo "transport smoke: hint replay did not arrive as batch frames:" >&2
+    printf '%s\n' "$M3" | grep '^bd_transport_requests_total' >&2 || true
+    exit 1
+fi
+echo "transport smoke: $REPLAYED hinted writes replayed in batch frames onto the restarted server"
 
 kill -TERM "$P1" "$P2"
 E1=0
@@ -178,14 +214,6 @@ A7=127.0.0.1:7477
 A8=127.0.0.1:7478
 L7=127.0.0.1:7487
 L8=127.0.0.1:7488
-
-fetch() {
-    if command -v curl >/dev/null 2>&1; then
-        curl -sf "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
 
 "$BIN/bdserve" -addr "$A7" -livez "$L7" -quiet &
 P1=$!
