@@ -131,13 +131,25 @@ func runAnalytics(cfg analyticsConfig) int {
 	defer coord.Close()
 	reg := obs.NewRegistry()
 	coord.RegisterMetrics(reg)
-	before := reg.Snapshot()
+	// The executors' own registries (task counts and latencies, shuffle
+	// bytes, engine scans) join the record through fleetSample.
+	var peers []*transport.RemoteNode
+	for _, addr := range addrs {
+		rn, err := transport.Connect(addr, transport.ClientOptions{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "bdbench: connect %s: %v\n", addr, err)
+			return 1
+		}
+		defer rn.Close()
+		peers = append(peers, rn)
+	}
+	before := fleetSample(reg, peers)
 	res, err := coord.Run(job)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bdbench:", err)
 		return 1
 	}
-	metricsDelta := obs.Delta(before, reg.Snapshot())
+	metricsDelta := fleetDelta(before, fleetSample(reg, peers))
 	if human {
 		printAnalytics(cfg, "distributed", len(addrs), res)
 	}
@@ -193,7 +205,10 @@ func analyticsServers(cfg analyticsConfig) (addrs []string, cleanup func(), err 
 			Self:  ln.Addr().String(),
 			Local: backend,
 		})
-		srv := transport.Serve(ln, backend, transport.ServerOptions{Tasks: ex})
+		reg := obs.NewRegistry()
+		backend.RegisterMetrics(reg)
+		ex.RegisterMetrics(reg)
+		srv := transport.Serve(ln, backend, transport.ServerOptions{Tasks: ex, Metrics: reg})
 		closers = append(closers, func() { srv.Close() }, ex.Close, backend.Close)
 		addrs = append(addrs, ln.Addr().String())
 	}

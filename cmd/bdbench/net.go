@@ -123,14 +123,45 @@ func (p *peerSet) setEpoch(e uint64) {
 	p.mu.Unlock()
 }
 
-// peers returns one client per address (the newest) for the -trace
-// span fetch.
+// peers returns one client per address (the newest): the targets of
+// the -trace span fetch and of the run's metrics samples.
 func (p *peerSet) peers() []*transport.RemoteNode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]*transport.RemoteNode, 0, len(p.byAddr))
 	for _, rns := range p.byAddr {
 		out = append(out, rns[len(rns)-1])
+	}
+	return out
+}
+
+// fleetSample flattens the bench's own registry and, fetched over the
+// wire (OpMetricsFetch), the registry of every peer that answers — one
+// name{labels} map per node. Sampled around the timed phase, the pair is
+// what lets a run record report the work the servers did (bd_engine_*,
+// bd_cluster_*, bd_transport_*), which the bench's own registry never
+// sees.
+func fleetSample(reg *obs.Registry, peers []*transport.RemoteNode) map[string]map[string]obs.Value {
+	out := map[string]map[string]obs.Value{"bench": reg.Snapshot()}
+	for _, rn := range peers {
+		if snap, err := rn.FetchMetrics(); err == nil {
+			out[rn.Addr()] = snap.Flatten()
+		}
+	}
+	return out
+}
+
+// fleetDelta is the run's cluster-wide delta: obs.Delta per node, summed
+// (gauges sum to cluster totals, as in obs.MergeSnapshots). Diffing per
+// node rather than diffing merged totals keeps membership changes honest
+// — a member that joined mid-run counts from zero, and one that left or
+// died is left out instead of being subtracted.
+func fleetDelta(before, after map[string]map[string]obs.Value) map[string]obs.Value {
+	out := map[string]obs.Value{}
+	for node, a := range after {
+		for k, v := range obs.Delta(before[node], a) {
+			out[k] = out[k].Add(v)
+		}
 	}
 	return out
 }
@@ -220,6 +251,7 @@ func runListen(cfg netConfig) int {
 type chaosServer struct {
 	addr    string
 	backend *cluster.Cluster
+	opts    transport.ServerOptions
 	srv     *transport.Server
 }
 
@@ -246,7 +278,7 @@ func runChaosController(servers []*chaosServer, cfg netConfig, stop <-chan struc
 				// live server to close.
 			case <-time.After(cfg.downFor):
 			}
-			srv, err := transport.Listen(s.addr, s.backend, transport.ServerOptions{})
+			srv, err := transport.Listen(s.addr, s.backend, s.opts)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "bdbench: chaos restart %s: %v\n", s.addr, err)
 				return
@@ -299,12 +331,14 @@ func runNet(cfg netConfig) int {
 		// demonstrates the whole crash/recovery cycle.
 		for i := 0; i < 2; i++ {
 			backend := cluster.New(cluster.Config{Shards: 1, Engine: cfg.engine})
-			srv, err := transport.Listen("127.0.0.1:0", backend, transport.ServerOptions{})
+			opts := transport.ServerOptions{Metrics: obs.NewRegistry()}
+			backend.RegisterMetrics(opts.Metrics)
+			srv, err := transport.Listen("127.0.0.1:0", backend, opts)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "bdbench: chaos listen:", err)
 				return 1
 			}
-			cs := &chaosServer{addr: srv.Addr(), backend: backend, srv: srv}
+			cs := &chaosServer{addr: srv.Addr(), backend: backend, opts: opts, srv: srv}
 			chaosServers = append(chaosServers, cs)
 			addrs = append(addrs, cs.addr)
 			defer backend.Close()
@@ -370,12 +404,13 @@ func runNet(cfg netConfig) int {
 		}
 	}
 	defer coord.Close()
-	// The run's own client-side observability: the coordinator's health
-	// and failover counters plus each peer connection's retry/redial
-	// counters, snapshotted around the timed phase so the JSON record
-	// reports exactly what the measured load did (obs.Delta). The
-	// frame-pool hit/miss counters are the client side of the §12 pooled
-	// hot path, so a pool-efficiency regression shows in the run record.
+	// The run's client-side observability: the coordinator's health and
+	// failover counters plus each peer connection's retry/redial counters.
+	// fleetSample adds every server's own registry and snapshots the lot
+	// around the timed phase, so the JSON record reports exactly what the
+	// measured load did on both sides of the wire. The frame-pool hit/miss
+	// counters are the client side of the §12 pooled hot path, so a
+	// pool-efficiency regression shows in the run record.
 	reg := obs.NewRegistry()
 	coord.RegisterMetrics(reg)
 	transport.RegisterPoolMetrics(reg)
@@ -437,7 +472,7 @@ func runNet(cfg netConfig) int {
 		deadline = time.Now().Add(cfg.dur)
 	}
 	var wg sync.WaitGroup
-	before := reg.Snapshot()
+	before := fleetSample(reg, ps.peers())
 	start := time.Now()
 	if slo != nil {
 		slo.SampleAt(start)
@@ -513,7 +548,7 @@ func runNet(cfg netConfig) int {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	metricsDelta := obs.Delta(before, reg.Snapshot())
+	metricsDelta := fleetDelta(before, fleetSample(reg, ps.peers()))
 	var sloReports []obs.SLOReport
 	if slo != nil {
 		slo.Stop()
@@ -530,7 +565,6 @@ func runNet(cfg netConfig) int {
 	for c := range recs {
 		lat.Merge(&recs[c])
 	}
-	st := coord.Stats()
 	sum := lat.Summary()
 	// With -json - the JSON record owns stdout (as in workload mode);
 	// the human report is suppressed so the output stays parseable.
@@ -542,7 +576,8 @@ func runNet(cfg netConfig) int {
 		fmt.Printf("  OPS: %.1f ops/s\n", float64(sum.Count)/elapsed.Seconds())
 		fmt.Printf("  latency: %s\n", sum)
 		fmt.Printf("  remote: accepted %d, rejected %d, batches %d\n",
-			st.Accepted, st.Rejected, st.Batches)
+			metricsDelta["bd_cluster_accepted_total"].Uint(), metricsDelta["bd_cluster_rejected_total"].Uint(),
+			metricsDelta["bd_cluster_batches_total"].Uint())
 		for _, line := range strings.Split(strings.TrimSuffix(obs.FormatSLO(sloReports), "\n"), "\n") {
 			if line != "" {
 				fmt.Println(" ", line)
@@ -550,6 +585,9 @@ func runNet(cfg netConfig) int {
 		}
 	}
 	if cfg.chaos {
+		// Detector verdicts and hint buffers are the coordinator's own
+		// state: Stats reads them without touching the wire.
+		st := coord.Stats()
 		var pending, replayed, dropped uint64
 		for _, ns := range st.Nodes {
 			pending += ns.HintsPending
@@ -600,8 +638,10 @@ func runNet(cfg netConfig) int {
 			LatP99Us  float64 `json:"latP99Us"`
 			LatMaxUs  float64 `json:"latMaxUs"`
 			Degraded  int64   `json:"degradedBatches"`
-			// Metrics is the client-side obs registry delta across the
-			// timed phase (bd_cluster_* and per-peer bd_transport_client_*).
+			// Metrics is the delta across the timed phase of the bench's
+			// own registry (coordinator health, per-peer
+			// bd_transport_client_*) summed with every server's
+			// (bd_engine_*, bd_cluster_*, bd_transport_*).
 			Metrics map[string]obs.Value `json:"metrics,omitempty"`
 			// SLO is the -slo objective's standing over the run (lifetime
 			// compliance plus per-window burn rates).

@@ -72,7 +72,9 @@ func startResizeMember(cfg netConfig, seeds []string) (*resizeMember, error) {
 			})
 		},
 	})
-	srv := transport.Serve(ln, cl, transport.ServerOptions{})
+	reg := obs.NewRegistry()
+	cl.RegisterMetrics(reg)
+	srv := transport.Serve(ln, cl, transport.ServerOptions{Metrics: reg})
 	m := &resizeMember{addr: ln.Addr().String(), cl: cl, srv: srv}
 	if len(seeds) > 0 {
 		if err := cl.Join(seeds...); err != nil {
@@ -230,7 +232,7 @@ func runResize(cfg netConfig) int {
 	var phase atomic.Int32
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	before := reg.Snapshot()
+	before := fleetSample(reg, ps.peers())
 	start := time.Now()
 	for c := 0; c < cfg.clients; c++ {
 		wg.Add(1)
@@ -312,7 +314,7 @@ func runResize(cfg netConfig) int {
 	wg.Wait()
 	end := time.Now()
 	elapsed := end.Sub(start)
-	metricsDelta := obs.Delta(before, reg.Snapshot())
+	metricsDelta := fleetDelta(before, fleetSample(reg, ps.peers()))
 	for _, werr := range errs {
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, "bdbench:", werr)

@@ -30,8 +30,9 @@
 // whole observability surface (DESIGN.md §11):
 //
 //	GET /livez    200 "ok" while the process lives
-//	GET /statz    full JSON stats snapshot (served/shed + per-node
-//	              cluster counters, hint and engine stats included)
+//	GET /statz    JSON stats of this process's nodes (served/shed +
+//	              per-node counters, hint and engine stats included;
+//	              the cluster-wide view is /clusterz)
 //	GET /metrics  Prometheus text: bd_transport_*, bd_cluster_*,
 //	              bd_engine_*, bd_analytics_* families
 //	GET /tracez   recent traced-request spans as JSON (?trace=<id>
@@ -356,8 +357,9 @@ func joinCluster(cl *cluster.Cluster, seeds []string, quiet bool) {
 }
 
 // statzSnapshot is the /statz response shape: the server's wire-level
-// totals plus the cluster's full per-node snapshot — every NodeStats
+// totals plus the snapshot of this process's nodes — every NodeStats
 // field, hinted-handoff and engine counters included — in one document.
+// Nothing in it crosses the wire; the cluster-wide view is /clusterz.
 type statzSnapshot struct {
 	Served  uint64        `json:"served"`
 	Shed    uint64        `json:"shed"`

@@ -809,24 +809,23 @@ type Stats struct {
 	Down int
 }
 
-// Stats snapshots every node, ordered by node id. An elastic member
-// reports its local shard only — a cluster-wide fold would recurse
-// through peers folding each other (the coordinator aggregates instead).
+// Stats snapshots every node, ordered by node id, from state this
+// process holds: local nodes report their own counters, remote members
+// only what the coordinator tracks about them (detector verdict, hint
+// buffer, transport errors). It never touches the wire — a remote
+// shard's counters reach a collector through the metrics federation
+// (transport.Client.FetchMetrics, obs.MergeSnapshots). An elastic member
+// reports its local shard only; its peers are their own processes.
 func (c *Cluster) Stats() Stats {
 	c.mu.RLock()
+	defer c.mu.RUnlock()
 	ids := c.ring.Members()
 	if c.selfID >= 0 {
 		ids = []int{c.selfID}
 	}
-	members := make([]*memberState, len(ids))
-	for i, id := range ids {
-		members[i] = c.nodes[id]
-	}
-	c.mu.RUnlock()
-	// Remote members answer stats over the wire: keep the topology lock
-	// out of those round trips (see Get's lock-discipline comment).
 	var st Stats
-	for _, m := range members {
+	for _, id := range ids {
+		m := c.nodes[id]
 		if m == nil {
 			st.Down++ // known to the view but not yet dialed
 			continue

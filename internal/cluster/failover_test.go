@@ -18,6 +18,9 @@ import (
 type chaosRemote struct {
 	c    *Cluster
 	down atomic.Bool
+	// sealed, when set, fails that test on any further RPC: the proof a
+	// code path under test stays off the wire.
+	sealed atomic.Pointer[testing.T]
 }
 
 func newChaosRemote() *chaosRemote {
@@ -25,6 +28,9 @@ func newChaosRemote() *chaosRemote {
 }
 
 func (r *chaosRemote) rpc() error {
+	if t := r.sealed.Load(); t != nil {
+		t.Error("RPC issued to a sealed remote")
+	}
 	if r.down.Load() {
 		return errNetDown
 	}
@@ -74,13 +80,6 @@ func (r *chaosRemote) TryApply(ops []Op) ([]OpResult, error) {
 		return nil, err
 	}
 	return r.c.TryApply(ops)
-}
-
-func (r *chaosRemote) Stats() (Stats, error) {
-	if err := r.rpc(); err != nil {
-		return Stats{}, err
-	}
-	return r.c.Stats(), nil
 }
 
 func (r *chaosRemote) Close() error { r.c.Close(); return nil }
@@ -306,6 +305,49 @@ func TestWriteFailoverAndHintedHandoff(t *testing.T) {
 	}
 	if replayed == 0 || stillPending != 0 {
 		t.Fatalf("hint replay accounting: replayed=%d pending=%d", replayed, stillPending)
+	}
+}
+
+// TestStatsIssuesNoRPC pins that Stats reports a remote member from
+// coordinator-side state alone — detector verdict and hint buffer here,
+// TransportErrs in TestMigrationSurfacesRemoteFailure — and never asks
+// the member: the remote is sealed after the join, up and then down,
+// and any call fails the test. The member's own counters stay on its
+// side of the wire.
+func TestStatsIssuesNoRPC(t *testing.T) {
+	c, rem, id := failoverCluster(t, 2, 1)
+	defer c.Close()
+	defer rem.sealed.Store(nil) // Close reaches the remote
+	for i := 0; i < 20; i++ {
+		if err := c.Put([]byte(fmt.Sprintf("nr-%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rem.sealed.Store(t)
+	st := c.Stats()
+	rem.sealed.Store(nil)
+	if len(st.Nodes) != 2 || st.Down != 0 {
+		t.Fatalf("stats = %+v, want two members, none down", st)
+	}
+	for _, ns := range st.Nodes {
+		if remote := ns.ID == id; remote != (ns.Store.Puts == 0) {
+			t.Fatalf("member %d (remote %v) reports %d engine puts: only the local node's counters are this process's to report", ns.ID, remote, ns.Store.Puts)
+		}
+	}
+	if puts := rem.c.Stats().Nodes[0].Store.Puts; puts != 20 {
+		t.Fatalf("remote shard holds %d mirrored writes, want 20", puts)
+	}
+
+	rem.down.Store(true)
+	markDown(t, c, id, 1)
+	if err := c.Put([]byte("nr-down"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	rem.sealed.Store(t)
+	ns := memberStats(c, id)
+	rem.sealed.Store(nil)
+	if !ns.Down || ns.HintsPending != 1 {
+		t.Fatalf("down member stats = %+v, want Down with one pending hint", ns)
 	}
 }
 

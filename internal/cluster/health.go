@@ -31,12 +31,6 @@ type memberState struct {
 	everDown  atomic.Bool
 	threshold int32
 
-	// smu guards lastStats, the last successful stats snapshot — what
-	// Stats reports while the member is down instead of zeroing its
-	// counters (which would make aggregate rates go negative mid-outage).
-	smu       sync.Mutex
-	lastStats NodeStats
-
 	// hmu guards the hinted-handoff buffer. Appends happen under the
 	// write primary's wmu (via mirrorBatch), so the buffer preserves
 	// per-key write order; replay drains in order and only clears the
@@ -339,22 +333,11 @@ func (s *memberState) hintBatch(ops []Op) {
 	})
 }
 
+// stats is the member's own snapshot plus the coordinator-side health
+// state layered over it. Everything here is held by this process: no
+// member's stats cost a round trip.
 func (s *memberState) stats() NodeStats {
-	var ns NodeStats
-	if s.isDown() {
-		// Don't pay (and fail) an RPC against a member the detector has
-		// already written off; report its last known counters so the
-		// cluster aggregates don't regress mid-outage.
-		s.smu.Lock()
-		ns = s.lastStats
-		s.smu.Unlock()
-		ns.ID = s.memberID()
-	} else {
-		ns = s.member.stats()
-		s.smu.Lock()
-		s.lastStats = ns
-		s.smu.Unlock()
-	}
+	ns := s.member.stats()
 	ns.Down = s.isDown()
 	ns.HintsPending = uint64(s.hintsPending())
 	ns.HintsReplayed = s.replayed.Load()

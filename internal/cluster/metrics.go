@@ -37,9 +37,8 @@ func (c *Cluster) healthCounters() (pending, replayed, dropped uint64, down int)
 }
 
 // localCounters sums the queue/op counters of in-process members only.
-// Remote members are excluded deliberately: their counters live on
-// their own server's scrape surface, and folding them in here would
-// cost a Stats RPC per member per scrape.
+// Remote members' counters live in their own server's registry; a
+// collector that wants the cluster total merges the registries.
 func (c *Cluster) localCounters() (accepted, rejected, batches, ops uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -51,7 +51,10 @@ type Node struct {
 	ops      atomic.Uint64 // point ops executed (queued + direct)
 }
 
-// NodeStats is a snapshot of one node's activity.
+// NodeStats is a snapshot of one node's activity as this process holds
+// it. The queue, op and Store counters are a local node's own (zero for
+// a remote member, whose server exports them through its registry);
+// the rest is coordinator-side state about the member.
 type NodeStats struct {
 	ID                 int
 	Accepted, Rejected uint64

@@ -38,8 +38,6 @@ type Remote interface {
 	// batches and hint replays to members that are not elastic peers.
 	Apply(ops []Op) ([]OpResult, error)
 	TryApply(ops []Op) ([]OpResult, error)
-	// Stats snapshots the remote server's cluster-wide counters.
-	Stats() (Stats, error)
 	// Close releases the proxy's resources (the remote server survives).
 	Close() error
 }
@@ -365,30 +363,12 @@ func (m *remoteMember) fill(req *request, res []OpResult, err error) {
 	}
 }
 
-// stats folds the remote server's per-node counters into one member
-// snapshot: from the coordinator's seat a remote server is one shard,
-// however many nodes it hosts.
+// stats reports what this process knows about the remote member: its
+// id and the RPC failures the proxy observed. The member's own counters
+// live in its server's registry and reach a collector through the
+// metrics federation (OpMetricsFetch), never through this call.
 func (m *remoteMember) stats() NodeStats {
-	st, err := m.r.Stats()
-	if err != nil {
-		if isTransportErr(err) {
-			m.transportErrs.Add(1)
-		}
-		return NodeStats{ID: m.id, TransportErrs: m.transportErrs.Load()}
-	}
-	ns := NodeStats{
-		ID:            m.id,
-		Accepted:      st.Accepted,
-		Rejected:      st.Rejected,
-		Batches:       st.Batches,
-		Ops:           st.Ops,
-		TransportErrs: m.transportErrs.Load(),
-	}
-	for _, sub := range st.Nodes {
-		addEngineStats(&ns.Store, sub.Store)
-		ns.TransportErrs += sub.TransportErrs
-	}
-	return ns
+	return NodeStats{ID: m.id, TransportErrs: m.transportErrs.Load()}
 }
 
 // addEngineStats accumulates src's counters into dst.

@@ -135,36 +135,28 @@ func (v Value) asInt() int64 {
 	return v.I
 }
 
-// Snapshot flattens every series into a name{labels} → value map — the
-// form bdbench diffs before and after a run. Counters and gauges map
-// directly; a histogram contributes _count and _sum entries. Integer
-// kinds stay integral (see Value).
-func (r *Registry) Snapshot() map[string]Value {
+// Flatten renders the snapshot as a name{labels} → value map — the form
+// bdbench diffs before and after a run, whether the snapshot was
+// captured locally or fetched and merged from remote nodes. Counters
+// and gauges map directly; a histogram contributes _count and _sum
+// entries. Integer kinds stay integral (see Value).
+func (s *RegistrySnapshot) Flatten() map[string]Value {
 	out := map[string]Value{}
-	for _, f := range r.sortedFamilies() {
-		for _, s := range f.series {
-			switch f.kind {
-			case KindCounter:
-				v := s.cf
-				if v == nil {
-					v = s.c.Value
-				}
-				out[f.name+s.labels] = Uint64Value(v())
-			case KindGauge:
-				if s.gf != nil {
-					out[f.name+s.labels] = FloatValue(s.gf())
-				} else {
-					out[f.name+s.labels] = IntValue(s.g.Value())
-				}
-			case KindHistogram:
-				_, count, sum := s.h.snapshot()
-				out[f.name+"_count"+s.labels] = Uint64Value(count)
-				out[f.name+"_sum"+s.labels] = FloatValue(float64(sum) / 1e9)
+	for _, f := range s.Fams {
+		for _, ser := range f.Series {
+			if f.Kind == KindHistogram {
+				out[f.Name+"_count"+ser.Labels] = Uint64Value(ser.Count)
+				out[f.Name+"_sum"+ser.Labels] = FloatValue(float64(ser.SumNs) / 1e9)
+			} else {
+				out[f.Name+ser.Labels] = ser.Value
 			}
 		}
 	}
 	return out
 }
+
+// Snapshot is the flattened capture of this registry.
+func (r *Registry) Snapshot() map[string]Value { return r.Capture("").Flatten() }
 
 // Delta diffs two snapshots: monotonic keys (suffix _total, _count,
 // _sum before any label braces) report after-before; everything else

@@ -36,7 +36,7 @@ type ClientOptions struct {
 	// can start before its server finishes binding.
 	DialTimeout time.Duration
 	// RetryOverload is how many times the blocking ops (Get, Put,
-	// Delete, Scan, Apply, Stats) retry after cluster.ErrOverload, with
+	// Delete, Scan, Apply) retry after cluster.ErrOverload, with
 	// doubling backoff (default 3). TryApply never retries — its callers
 	// want the shed signal.
 	RetryOverload int
@@ -113,9 +113,10 @@ type Client struct {
 	next   atomic.Uint64
 	closed atomic.Bool
 
-	// epoch, when nonzero, is stamped on data-plane requests (Get, Put,
-	// Delete, Scan, Apply) so an elastic server can fence calls routed
-	// under a stale membership view. Zero = unstamped (legacy peers).
+	// epoch, when nonzero, is stamped on the requests opTable marks
+	// epoch-stamped (Get, Put, Delete, Scan, Apply) so an elastic server
+	// can fence calls routed under a stale membership view. Zero =
+	// unstamped (legacy peers).
 	epoch atomic.Uint64
 
 	metrics clientMetrics
@@ -397,34 +398,6 @@ func (c *Client) newCallTrace(trace, parent uint64) callTrace {
 	return ct
 }
 
-// dataCallTrace is newCallTrace plus the epoch stamp data-plane ops
-// carry. Minted inside each retry attempt, so a retry after a view
-// bounce picks up the refreshed epoch.
-func (c *Client) dataCallTrace(trace, parent uint64) callTrace {
-	ct := c.newCallTrace(trace, parent)
-	ct.epoch = c.epoch.Load()
-	return ct
-}
-
-// roundTrip issues one request with the given payload — traced when
-// ct.trace is nonzero — and waits for its response. The payload is
-// copied into a pooled frame; use roundTripFrame with a caller-built
-// frame to skip that copy.
-func (cc *clientConn) roundTrip(ct callTrace, op Opcode, payload []byte, timeout time.Duration) (response, error) {
-	f := newRequestFrame(op, ct, payload)
-	return cc.roundTripFrame(op, f, timeout)
-}
-
-// newRequestFrame builds a complete request frame (id zero, patched at
-// send time) carrying payload in a pooled buffer.
-func newRequestFrame(op Opcode, ct callTrace, payload []byte) *frame {
-	f := getFrame(frameHeadLen(ct.trace, ct.epoch) + len(payload))
-	f.b = beginRequestExt(f.b[:0], op, ct.trace, ct.span, ct.epoch)
-	f.b = append(f.b, payload...)
-	f.b = finishFrame(f.b)
-	return f
-}
-
 // frameHeadLen is the wire size of a request frame before its payload:
 // length prefix + header, plus the trace and epoch extensions when
 // present.
@@ -458,72 +431,25 @@ func cloneEntries(entries []engine.Entry) {
 	}
 }
 
-func opName(op Opcode) string {
-	if op&0x80 == 0 {
-		op &^= opFlagTraced // a traced request is named by its bare opcode
-	}
-	switch op {
-	case OpGet:
-		return "get"
-	case OpPut:
-		return "put"
-	case OpDelete:
-		return "delete"
-	case OpScan:
-		return "scan"
-	case OpBatch:
-		return "batch"
-	case OpStats:
-		return "stats"
-	case OpPing:
-		return "ping"
-	case OpTaskSubmit:
-		return "task-submit"
-	case OpTaskStatus:
-		return "task-status"
-	case OpShuffleFetch:
-		return "shuffle-fetch"
-	case OpTraceFetch:
-		return "trace-fetch"
-	case OpGossip:
-		return "gossip"
-	case OpMirror:
-		return "mirror"
-	case OpGetLocal:
-		return "get-local"
-	case OpMetricsFetch:
-		return "metrics-fetch"
-	case OpEventsFetch:
-		return "events-fetch"
-	default:
-		return fmt.Sprintf("op(0x%02x)", byte(op))
-	}
-}
-
 // pick selects the next pool connection round-robin, reviving the slot
-// first if its connection has died.
-func (c *Client) pick() (*clientConn, error) {
+// first — within the dial budget — if its connection has died.
+func (c *Client) pick(dial time.Duration) (*clientConn, error) {
 	if c.closed.Load() {
 		return nil, ErrClientClosed
 	}
 	slot := int(c.next.Add(1)) % len(c.conns)
 	cc := c.conns[slot].Load()
 	if cc == nil || cc.broken() {
-		return c.revive(slot)
+		return c.revive(slot, dial)
 	}
 	return cc, nil
 }
 
-// revive redials one pool slot. Serialized so concurrent callers on a
-// dead connection produce one dial, not a stampede; losers reuse the
-// winner's connection.
-func (c *Client) revive(slot int) (*clientConn, error) {
-	return c.reviveWithin(slot, c.opts.DialTimeout)
-}
-
-// reviveWithin is revive with an explicit dial budget, so health probes
-// can redial on a short leash while data ops keep the patient one.
-func (c *Client) reviveWithin(slot int, budget time.Duration) (*clientConn, error) {
+// revive redials one pool slot within budget — health probes redial on a
+// short leash while data ops keep the patient one. Serialized so
+// concurrent callers on a dead connection produce one dial, not a
+// stampede; losers reuse the winner's connection.
+func (c *Client) revive(slot int, budget time.Duration) (*clientConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -561,50 +487,29 @@ func (c *Client) Healthy() bool {
 // the server answers pings from the read loop without an admission
 // permit, so a failure here means the wire or the process, not load.
 func (c *Client) Ping() error {
-	if c.closed.Load() {
-		return ErrClientClosed
-	}
-	slot := int(c.next.Add(1)) % len(c.conns)
-	cc := c.conns[slot].Load()
-	if cc == nil || cc.broken() {
-		var err error
-		if cc, err = c.reviveWithin(slot, c.opts.PingTimeout); err != nil {
-			return err
-		}
-	}
-	r, err := cc.roundTrip(callTrace{}, OpPing, nil, c.opts.PingTimeout)
+	f := getFrame(frameHeadLen(0, 0))
+	f.b = finishFrame(beginRequest(f.b[:0], OpPing, 0, 0))
+	r, err := c.callFrame(callTrace{}, OpPing, f, 0, c.opts.PingTimeout, c.opts.PingTimeout)
 	if err != nil {
 		return err
 	}
 	defer r.release()
-	if r.op == RespError {
-		remoteErr, decodeErr := DecodeError(r.payload)
-		if decodeErr != nil {
-			return decodeErr
-		}
-		return remoteErr
-	}
-	if r.op != RespOK {
+	if r.op != opTable[OpPing].resp {
 		return ErrMalformed
 	}
 	return nil
 }
 
-// call runs one round trip and maps error frames back to Go errors. A
-// nonzero ct.trace rides the frame header and leaves a span in the
-// configured span log. The payload is copied into a pooled request
-// frame; hot paths that can encode straight into a frame use callFrame.
+// callFrame runs one round trip and maps error frames back to Go
+// errors. f is a caller-built request frame (beginRequestExt +
+// finishFrame with the same ct; the id is patched at send time) and
+// callFrame takes ownership of it. dial bounds the redial of a dead pool
+// slot and timeout the round trip. A nonzero ct.trace leaves a span in
+// the configured span log; reqBytes is the payload size recorded on it.
 // The returned response's payload aliases a pooled frame — the caller
 // must copy whatever it retains, then release it.
-func (c *Client) call(ct callTrace, op Opcode, payload []byte) (response, error) {
-	return c.callFrame(ct, op, newRequestFrame(op, ct, payload), len(payload))
-}
-
-// callFrame is call for a caller-built request frame (beginRequest +
-// finishFrame with the same ct; the id is patched at send time). Takes
-// ownership of f. reqBytes is the payload size, recorded on the span.
-func (c *Client) callFrame(ct callTrace, op Opcode, f *frame, reqBytes int) (response, error) {
-	cc, err := c.pick()
+func (c *Client) callFrame(ct callTrace, op Opcode, f *frame, reqBytes int, dial, timeout time.Duration) (response, error) {
+	cc, err := c.pick(dial)
 	if err != nil {
 		putFrame(f)
 		return response{}, err
@@ -613,7 +518,7 @@ func (c *Client) callFrame(ct callTrace, op Opcode, f *frame, reqBytes int) (res
 	if ct.trace != 0 && c.opts.Spans != nil {
 		start = time.Now()
 	}
-	r, err := cc.roundTripFrame(op, f, c.opts.Timeout)
+	r, err := cc.roundTripFrame(op, f, timeout)
 	if err == nil && r.op == RespError {
 		var decodeErr error
 		if err, decodeErr = DecodeError(r.payload); decodeErr != nil {
@@ -692,25 +597,72 @@ func (c *Client) withRetry(fn func() error) error {
 	}
 }
 
+// attempt runs one request/response exchange for op. encode appends the
+// n-byte payload straight into a pooled, exactly-sized request frame
+// (nil = no payload); the response must carry the opcode opTable
+// declares for op; decode (nil = nothing to read) sees the payload
+// while it still aliases the pooled response frame, so it copies
+// whatever it keeps. Epoch-stamped ops pick up the client's current
+// view epoch and a traced call mints its span id here, per attempt — a
+// retry after a view bounce re-stamps the refreshed epoch, and every
+// attempt is its own hop.
+func (c *Client) attempt(op Opcode, trace, parent uint64, n int, encode func([]byte) []byte, decode func([]byte) error) error {
+	ct := c.newCallTrace(trace, parent)
+	if opTable[op].epoch {
+		ct.epoch = c.epoch.Load()
+	}
+	f := getFrame(frameHeadLen(ct.trace, ct.epoch) + n)
+	f.b = beginRequestExt(f.b[:0], op, ct.trace, ct.span, ct.epoch)
+	if encode != nil {
+		f.b = encode(f.b)
+	}
+	f.b = finishFrame(f.b)
+	r, err := c.callFrame(ct, op, f, n, c.opts.DialTimeout, c.opts.Timeout)
+	if err != nil {
+		return err
+	}
+	defer r.release()
+	if r.op != opTable[op].resp {
+		return ErrMalformed
+	}
+	if decode == nil {
+		return nil
+	}
+	return decode(r.payload)
+}
+
+// exchange is attempt under the retry policy (withRetry): every client
+// op but TryApply goes through it.
+func (c *Client) exchange(op Opcode, trace, parent uint64, n int, encode func([]byte) []byte, decode func([]byte) error) error {
+	return c.withRetry(func() error { return c.attempt(op, trace, parent, n, encode, decode) })
+}
+
+// rawPayload is the encode step of ops whose payload is p verbatim.
+func rawPayload(p []byte) func([]byte) []byte {
+	return func(b []byte) []byte { return append(b, p...) }
+}
+
+// idPayload is the encode step of ops whose payload is one 8-byte id.
+func idPayload(id uint64) func([]byte) []byte {
+	return func(b []byte) []byte { return EncodeTaskID(b, id) }
+}
+
 // Get fetches one key from the remote shard.
 func (c *Client) Get(key []byte) (value []byte, found bool, err error) {
-	return c.GetTraced(0, 0, key)
+	return c.getValue(OpGet, 0, 0, key)
 }
 
 // GetTraced is Get carrying distributed trace context (zero trace =
 // untraced; parent is the calling hop's span id, 0 at the root).
 func (c *Client) GetTraced(trace, parent uint64, key []byte) (value []byte, found bool, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(c.dataCallTrace(trace, parent), OpGet, key)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespValue {
-			return ErrMalformed
-		}
+	return c.getValue(OpGet, trace, parent, key)
+}
+
+// getValue is the key → RespValue exchange OpGet and OpGetLocal share.
+func (c *Client) getValue(op Opcode, trace, parent uint64, key []byte) (value []byte, found bool, err error) {
+	err = c.exchange(op, trace, parent, len(key), rawPayload(key), func(p []byte) (err error) {
 		var v []byte
-		v, found, err = DecodeValue(r.payload)
+		v, found, err = DecodeValue(p)
 		value = bytes.Clone(v) // v aliases the pooled frame
 		return err
 	})
@@ -725,23 +677,8 @@ func (c *Client) Put(key, value []byte) error {
 // PutTraced is Put carrying distributed trace context (zero trace =
 // untraced; parent is the calling hop's span id, 0 at the root).
 func (c *Client) PutTraced(trace, parent uint64, key, value []byte) error {
-	return c.withRetry(func() error {
-		ct := c.dataCallTrace(trace, parent)
-		// Encode straight into a pooled frame: no intermediate payload.
-		n := 4 + len(key) + len(value)
-		f := getFrame(frameHeadLen(ct.trace, ct.epoch) + n)
-		f.b = beginRequestExt(f.b[:0], OpPut, ct.trace, ct.span, ct.epoch)
-		f.b = finishFrame(EncodePut(f.b, key, value))
-		r, err := c.callFrame(ct, OpPut, f, n)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespOK {
-			return ErrMalformed
-		}
-		return nil
-	})
+	return c.exchange(OpPut, trace, parent, 4+len(key)+len(value),
+		func(b []byte) []byte { return EncodePut(b, key, value) }, nil)
 }
 
 // Delete removes one key.
@@ -751,17 +688,7 @@ func (c *Client) Delete(key []byte) error {
 
 // DeleteTraced is Delete carrying distributed trace context.
 func (c *Client) DeleteTraced(trace, parent uint64, key []byte) error {
-	return c.withRetry(func() error {
-		r, err := c.call(c.dataCallTrace(trace, parent), OpDelete, key)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespOK {
-			return ErrMalformed
-		}
-		return nil
-	})
+	return c.exchange(OpDelete, trace, parent, len(key), rawPayload(key), nil)
 }
 
 // Scan returns up to limit entries with key >= start from the remote
@@ -776,26 +703,14 @@ func (c *Client) Scan(start []byte, limit int) ([]engine.Entry, error) {
 	for limit > len(all) {
 		var page []engine.Entry
 		var more bool
-		err := c.withRetry(func() error {
-			ct := c.dataCallTrace(0, 0)
-			n := 4 + len(start)
-			f := getFrame(frameHeadLen(0, ct.epoch) + n)
-			f.b = beginRequestExt(f.b[:0], OpScan, 0, 0, ct.epoch)
-			f.b = finishFrame(EncodeScan(f.b, start, limit-len(all)))
-			r, err := c.callFrame(ct, OpScan, f, n)
-			if err != nil {
+		err := c.exchange(OpScan, 0, 0, 4+len(start),
+			func(b []byte) []byte { return EncodeScan(b, start, limit-len(all)) },
+			func(p []byte) (err error) {
+				if page, more, err = DecodeEntries(p); err == nil {
+					cloneEntries(page) // entries alias the pooled frame
+				}
 				return err
-			}
-			defer r.release()
-			if r.op != RespEntries {
-				return ErrMalformed
-			}
-			page, more, err = DecodeEntries(r.payload)
-			if err == nil {
-				cloneEntries(page) // entries alias the pooled frame
-			}
-			return err
-		})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -811,7 +726,7 @@ func (c *Client) Scan(start []byte, limit int) ([]engine.Entry, error) {
 
 // Apply executes a batch on the remote with backpressure.
 func (c *Client) Apply(ops []cluster.Op) (res []cluster.OpResult, err error) {
-	return c.ApplyTraced(0, 0, ops)
+	return c.batch(0, 0, ops, false)
 }
 
 // ApplyTraced is Apply carrying distributed trace context. The trace
@@ -819,59 +734,51 @@ func (c *Client) Apply(ops []cluster.Op) (res []cluster.OpResult, err error) {
 // and the server re-stamps them onto the decoded ops, so a multi-tier
 // backend keeps propagating — and parenting — the trace.
 func (c *Client) ApplyTraced(trace, parent uint64, ops []cluster.Op) (res []cluster.OpResult, err error) {
-	err = c.withRetry(func() error {
-		res, err = c.batch(c.dataCallTrace(trace, parent), ops, false)
-		return err
-	})
-	return res, err
+	return c.batch(trace, parent, ops, false)
 }
 
 // TryApply executes a batch under the remote's admission control. A shed
 // batch returns cluster.ErrOverload, possibly with partial results; it
 // is never retried here — propagating the shed signal is the point.
 func (c *Client) TryApply(ops []cluster.Op) ([]cluster.OpResult, error) {
-	return c.batch(c.dataCallTrace(0, 0), ops, true)
+	return c.batch(0, 0, ops, true)
 }
 
 // TryApplyTraced is TryApply carrying distributed trace context.
 func (c *Client) TryApplyTraced(trace, parent uint64, ops []cluster.Op) ([]cluster.OpResult, error) {
-	return c.batch(c.dataCallTrace(trace, parent), ops, true)
+	return c.batch(trace, parent, ops, true)
 }
 
-func (c *Client) batch(ct callTrace, ops []cluster.Op, try bool) ([]cluster.OpResult, error) {
-	// Encode the batch straight into a pooled, exactly-sized frame.
-	n := encodedBatchLen(ops)
-	f := getFrame(frameHeadLen(ct.trace, ct.epoch) + n)
-	f.b = beginRequestExt(f.b[:0], OpBatch, ct.trace, ct.span, ct.epoch)
-	f.b = finishFrame(EncodeBatch(f.b, ops, try))
-	r, err := c.callFrame(ct, OpBatch, f, n)
-	if err != nil {
-		return nil, err
-	}
-	defer r.release()
-	if r.op != RespResults {
-		return nil, ErrMalformed
-	}
-	res, execErr, decodeErr := DecodeResults(r.payload)
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	// Result values alias the pooled response frame; move them into one
-	// arena so releasing the frame can't corrupt what the caller keeps.
-	total := 0
-	for i := range res {
-		total += len(res[i].Value)
-	}
-	if total > 0 {
-		arena := make([]byte, 0, total)
+func (c *Client) batch(trace, parent uint64, ops []cluster.Op, try bool) (res []cluster.OpResult, err error) {
+	encode := func(b []byte) []byte { return EncodeBatch(b, ops, try) }
+	decode := func(p []byte) error {
+		var execErr, decodeErr error
+		if res, execErr, decodeErr = DecodeResults(p); decodeErr != nil {
+			return decodeErr
+		}
+		// Result values alias the pooled response frame; move them into one
+		// arena so releasing the frame can't corrupt what the caller keeps.
+		total := 0
 		for i := range res {
-			if len(res[i].Value) > 0 {
-				arena = append(arena, res[i].Value...)
-				res[i].Value = arena[len(arena)-len(res[i].Value) : len(arena) : len(arena)]
+			total += len(res[i].Value)
+		}
+		if total > 0 {
+			arena := make([]byte, 0, total)
+			for i := range res {
+				if len(res[i].Value) > 0 {
+					arena = append(arena, res[i].Value...)
+					res[i].Value = arena[len(arena)-len(res[i].Value) : len(arena) : len(arena)]
+				}
 			}
 		}
+		return execErr
 	}
-	return res, execErr
+	if try {
+		err = c.attempt(OpBatch, trace, parent, encodedBatchLen(ops), encode, decode)
+	} else {
+		err = c.exchange(OpBatch, trace, parent, encodedBatchLen(ops), encode, decode)
+	}
+	return res, err
 }
 
 // Gossip round-trips one anti-entropy membership exchange: view is
@@ -880,17 +787,9 @@ func (c *Client) batch(ct callTrace, ops []cluster.Op, try bool) ([]cluster.OpRe
 // Overload sheds are retried, though the server answers gossip from its
 // read loop precisely so load cannot starve convergence.
 func (c *Client) Gossip(view []byte) (merged []byte, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpGossip, view)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespView {
-			return ErrMalformed
-		}
-		if len(r.payload) > 0 {
-			merged = bytes.Clone(r.payload) // payload aliases the pooled frame
+	err = c.exchange(OpGossip, 0, 0, len(view), rawPayload(view), func(p []byte) error {
+		if len(p) > 0 {
+			merged = bytes.Clone(p) // p aliases the pooled frame
 		}
 		return nil
 	})
@@ -913,22 +812,8 @@ func (c *Client) ApplyLocal(ops []cluster.Op, migration bool, epoch uint64) erro
 			break
 		}
 	}
-	return c.withRetry(func() error {
-		ct := c.newCallTrace(trace, parent)
-		n := encodedMirrorLen(ops, migration)
-		f := getFrame(frameHeadLen(ct.trace, 0) + n)
-		f.b = beginRequest(f.b[:0], OpMirror, ct.trace, ct.span)
-		f.b = finishFrame(EncodeMirror(f.b, ops, migration, epoch))
-		r, err := c.callFrame(ct, OpMirror, f, n)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespOK {
-			return ErrMalformed
-		}
-		return nil
-	})
+	return c.exchange(OpMirror, trace, parent, encodedMirrorLen(ops, migration),
+		func(b []byte) []byte { return EncodeMirror(b, ops, migration, epoch) }, nil)
 }
 
 // GetLocal reads one key from the remote member's own store with no
@@ -940,38 +825,7 @@ func (c *Client) ApplyLocal(ops []cluster.Op, migration bool, epoch uint64) erro
 // member holds, which is exactly what a fallback read wants regardless
 // of epoch.
 func (c *Client) GetLocal(key []byte) (value []byte, found bool, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpGetLocal, key)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespValue {
-			return ErrMalformed
-		}
-		var v []byte
-		v, found, err = DecodeValue(r.payload)
-		value = bytes.Clone(v) // v aliases the pooled frame
-		return err
-	})
-	return value, found, err
-}
-
-// Stats snapshots the remote server's cluster counters.
-func (c *Client) Stats() (st cluster.Stats, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpStats, nil)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespStats {
-			return ErrMalformed
-		}
-		st, err = DecodeStats(r.payload)
-		return err
-	})
-	return st, err
+	return c.getValue(OpGetLocal, 0, 0, key)
 }
 
 // SubmitTask submits an opaque analytics task spec to the remote
@@ -986,16 +840,8 @@ func (c *Client) SubmitTask(spec []byte) (id uint64, err error) {
 // analytics job's submits show up in each executor's span log under the
 // job's one trace.
 func (c *Client) SubmitTaskTraced(trace uint64, spec []byte) (id uint64, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(c.newCallTrace(trace, 0), OpTaskSubmit, spec)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespTask {
-			return ErrMalformed
-		}
-		id, err = DecodeTaskID(r.payload)
+	err = c.exchange(OpTaskSubmit, trace, 0, len(spec), rawPayload(spec), func(p []byte) (err error) {
+		id, err = DecodeTaskID(p)
 		return err
 	})
 	return id, err
@@ -1005,16 +851,8 @@ func (c *Client) SubmitTaskTraced(trace uint64, spec []byte) (id uint64, err err
 // failure (nil while running or on success); err reports the poll
 // itself failing (wire down, unknown task).
 func (c *Client) TaskStatus(id uint64) (done bool, taskErr, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpTaskStatus, EncodeTaskID(nil, id))
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespTaskStatus {
-			return ErrMalformed
-		}
-		done, taskErr, err = DecodeTaskStatus(r.payload)
+	err = c.exchange(OpTaskStatus, 0, 0, 8, idPayload(id), func(p []byte) (err error) {
+		done, taskErr, err = DecodeTaskStatus(p)
 		return err
 	})
 	return done, taskErr, err
@@ -1030,31 +868,21 @@ func (c *Client) ShuffleFetch(task uint64, part uint32) ([]byte, error) {
 // so a reduce task's cross-node fetches join the job's trace.
 func (c *Client) ShuffleFetchTraced(trace, task uint64, part uint32) ([]byte, error) {
 	var all []byte
-	for {
-		var more bool
-		err := c.withRetry(func() error {
-			r, err := c.call(c.newCallTrace(trace, 0), OpShuffleFetch, EncodeShuffleFetch(nil, task, part, uint32(len(all))))
-			if err != nil {
+	for more := true; more; {
+		err := c.exchange(OpShuffleFetch, trace, 0, 16,
+			func(b []byte) []byte { return EncodeShuffleFetch(b, task, part, uint32(len(all))) },
+			func(p []byte) (err error) {
+				var chunk []byte
+				if chunk, more, err = DecodeChunk(p); err == nil {
+					all = append(all, chunk...) // copies out of the pooled frame
+				}
 				return err
-			}
-			defer r.release()
-			if r.op != RespChunk {
-				return ErrMalformed
-			}
-			var chunk []byte
-			chunk, more, err = DecodeChunk(r.payload)
-			if err == nil {
-				all = append(all, chunk...) // copies out of the pooled frame
-			}
-			return err
-		})
+			})
 		if err != nil {
 			return nil, err
 		}
-		if !more {
-			return all, nil
-		}
 	}
+	return all, nil
 }
 
 // FetchSpans pulls every span the remote process retains for one trace
@@ -1063,16 +891,8 @@ func (c *Client) ShuffleFetchTraced(trace, task uint64, part uint32) ([]byte, er
 // The fetch itself is untraced so collection never pollutes the trace
 // it collects.
 func (c *Client) FetchSpans(trace uint64) (spans []obs.Span, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpTraceFetch, EncodeTaskID(nil, trace))
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespSpans {
-			return ErrMalformed
-		}
-		spans, err = DecodeSpans(r.payload)
+	err = c.exchange(OpTraceFetch, 0, 0, 8, idPayload(trace), func(p []byte) (err error) {
+		spans, err = DecodeSpans(p)
 		return err
 	})
 	return spans, err
@@ -1080,20 +900,11 @@ func (c *Client) FetchSpans(trace uint64) (spans []obs.Span, err error) {
 
 // FetchMetrics pulls the remote process's full registry snapshot
 // (OpMetricsFetch) — exact histogram buckets and counters, not float
-// summaries, so the federation can merge without rounding. The payload
-// aliases a pooled frame, so the decode (which copies into fresh
-// structs) happens before release.
+// summaries, so the federation can merge without rounding. The decode
+// copies into fresh structs, so nothing aliases the pooled frame.
 func (c *Client) FetchMetrics() (snap *obs.RegistrySnapshot, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpMetricsFetch, nil)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespMetrics {
-			return ErrMalformed
-		}
-		snap, err = obs.DecodeSnapshot(r.payload)
+	err = c.exchange(OpMetricsFetch, 0, 0, 0, nil, func(p []byte) (err error) {
+		snap, err = obs.DecodeSnapshot(p)
 		return err
 	})
 	return snap, err
@@ -1103,16 +914,8 @@ func (c *Client) FetchMetrics() (snap *obs.RegistrySnapshot, err error) {
 // (OpEventsFetch), oldest first. A remote with no event log returns an
 // empty timeline, not an error.
 func (c *Client) FetchEvents() (events []obs.Event, err error) {
-	err = c.withRetry(func() error {
-		r, err := c.call(callTrace{}, OpEventsFetch, nil)
-		if err != nil {
-			return err
-		}
-		defer r.release()
-		if r.op != RespEvents {
-			return ErrMalformed
-		}
-		events, err = obs.DecodeEvents(r.payload)
+	err = c.exchange(OpEventsFetch, 0, 0, 0, nil, func(p []byte) (err error) {
+		events, err = obs.DecodeEvents(p)
 		return err
 	})
 	return events, err

@@ -104,7 +104,9 @@ func TestFetchEventsOverWire(t *testing.T) {
 // TestClientImplementsFetcher pins the interface the Federator dials.
 func TestClientImplementsFetcher(t *testing.T) {
 	var _ obs.Fetcher = (*Client)(nil)
-	for _, op := range []Opcode{OpMetricsFetch, OpEventsFetch} {
+	// A request is named by its bare opcode whichever extension flags
+	// (trace context, view epoch) ride on it.
+	for _, op := range []Opcode{OpMetricsFetch, OpEventsFetch, OpGet | opFlagEpoch, OpBatch | opFlagTraced | opFlagEpoch} {
 		if name := opName(op); strings.HasPrefix(name, "op(") {
 			t.Fatalf("opcode %#x has no name", byte(op))
 		}

@@ -14,19 +14,47 @@ import (
 	"repro/internal/obs"
 )
 
-// Backend is the storage a Server fronts. *cluster.Cluster satisfies it,
-// so a server daemon hosts one or more cluster nodes — a single-shard
-// region server or a whole sub-cluster — behind one listener. Writes
-// and scans report failures (a backend may itself be a degraded
-// cluster); the server carries them back as error frames.
+// Backend is the storage a Server fronts: exactly the surface of
+// *cluster.Cluster the dispatch path calls, so a server daemon hosts one
+// or more cluster nodes — a single-shard region server or a whole
+// sub-cluster — behind one listener. It is an interface only so tests
+// can wrap a cluster with hooks; there are no optional capabilities and
+// no fallback paths. Writes and scans report failures (a backend may
+// itself be a degraded cluster); the server carries them back as error
+// frames.
 type Backend interface {
 	Get(key []byte) ([]byte, bool)
 	Put(key, value []byte) error
 	Delete(key []byte) error
-	Scan(start []byte, limit int) ([]engine.Entry, error)
-	Apply(ops []cluster.Op) ([]cluster.OpResult, error)
-	TryApply(ops []cluster.Op) ([]cluster.OpResult, error)
-	Stats() cluster.Stats
+	// AppendScan appends into a caller-owned slice the server recycles
+	// across requests. Entry keys/values are engine-owned copies, so only
+	// the slice header is pooled.
+	AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error)
+	// ApplyInto and TryApplyInto execute a batch into caller-owned result
+	// slots (len(res) == len(ops)): backpressure and admission control.
+	ApplyInto(ops []cluster.Op, res []cluster.OpResult) error
+	TryApplyInto(ops []cluster.Op, res []cluster.OpResult) error
+	// ApplyLocal and GetLocal are the store-only operations OpMirror and
+	// OpGetLocal land on: they must not re-enter the destination's routing
+	// or replication fan-out. A migration chunk carries the epoch it was
+	// planned under and the backend refuses a mismatch with
+	// cluster.ErrWrongEpoch, so a sender never mistakes dropped copies for
+	// delivered ones; a store-only read answers from the member's own
+	// shard, because the receiver's ring may disagree with the sender's
+	// mid-membership-change and re-routing there is how forwarding cycles
+	// start. A cluster with no shard of its own refuses both.
+	ApplyLocal(ops []cluster.Op, migration bool, epoch uint64) error
+	GetLocal(key []byte) ([]byte, bool, error)
+	// HandleGossip is the anti-entropy exchange OpGossip carries; a
+	// static cluster answers it with an error.
+	HandleGossip(payload []byte) ([]byte, error)
+	// ViewEpoch and EncodedView back the wire-level epoch fence: requests
+	// stamped with a view epoch (opFlagEpoch) are checked against
+	// ViewEpoch before admission, and stale ones bounce with the fresh
+	// encoded view instead of being misrouted against an ownership map
+	// the client no longer has.
+	ViewEpoch() uint64
+	EncodedView() []byte
 }
 
 // TaskHost is the analytics task plane a Server optionally fronts (the
@@ -53,58 +81,6 @@ type TaskHost interface {
 
 // errNoTaskHost answers task-plane opcodes on a server with no executor.
 var errNoTaskHost = errors.New("transport: server hosts no task executor")
-
-// batchApplier is the optional Backend capability for allocation-free
-// batch execution: results land in a caller-owned slice (len(res) ==
-// len(ops)) instead of a per-call allocation. *cluster.Cluster
-// implements it; the server type-asserts once at construction and falls
-// back to Apply/TryApply for backends that don't.
-type batchApplier interface {
-	ApplyInto(ops []cluster.Op, res []cluster.OpResult) error
-	TryApplyInto(ops []cluster.Op, res []cluster.OpResult) error
-}
-
-// scanAppender is the optional Backend capability for scan-buffer reuse:
-// entries append into a caller-owned slice that the server recycles
-// across requests. Entry keys/values are engine-owned copies, so only
-// the slice header is pooled — the data survives the buffer's reuse.
-type scanAppender interface {
-	AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error)
-}
-
-// viewHost is the optional Backend capability for elastic membership:
-// the anti-entropy exchange OpGossip carries. *cluster.Cluster in
-// elastic mode implements it; servers fronting a static cluster or a
-// bare engine answer OpGossip with an error frame instead.
-type viewHost interface {
-	HandleGossip(payload []byte) ([]byte, error)
-}
-
-// localApplier is the optional Backend capability OpMirror and
-// OpGetLocal land on: store-only operations that must not re-enter the
-// destination's routing or replication fan-out. Store-only write
-// batches (replica mirrors, hint replays, migration chunks) skip the
-// replication fan-out; a migration chunk carries the epoch it was
-// planned under and the backend refuses a mismatch with
-// cluster.ErrWrongEpoch so a sender never mistakes dropped copies for
-// delivered ones. Store-only reads
-// answer from the member's own shard without re-resolving ownership —
-// the receiver's ring may disagree with the sender's mid-membership-
-// change, and re-routing there is how forwarding cycles start.
-type localApplier interface {
-	ApplyLocal(ops []cluster.Op, migration bool, epoch uint64) error
-	GetLocal(key []byte) ([]byte, bool, error)
-}
-
-// epochHost is the optional Backend capability behind the wire-level
-// epoch fence: requests stamped with a view epoch (opFlagEpoch) are
-// checked against the backend's current epoch before admission, and
-// stale ones bounce with the fresh encoded view instead of being
-// misrouted against an ownership map the client no longer has.
-type epochHost interface {
-	ViewEpoch() uint64
-	EncodedView() []byte
-}
 
 // batchScratch is the pooled per-request decode/execute scratch for
 // OpBatch and OpMirror: the decoded ops (aliasing the request frame) and
@@ -176,19 +152,13 @@ func (o *ServerOptions) normalize() {
 	}
 }
 
-// maxReqOpcode bounds the per-opcode counter and histogram arrays:
-// request opcodes are a dense range ending at OpEventsFetch (0x10), so
-// the hot-path count is one in-bounds array index — no map lookup, no
-// allocation.
-const maxReqOpcode = 0x11
-
 // serverMetrics is the server's always-on instrumentation. Every field
 // is a plain atomic recorded inline on the request path; registries
 // adopt them at scrape time (RegisterMetrics), so serving is identical
 // whether or not anything scrapes.
 type serverMetrics struct {
-	reqs     [maxReqOpcode]obs.Counter   // per request opcode
-	opLat    [maxReqOpcode]obs.Histogram // per request opcode service time
+	reqs     [len(opTable)]obs.Counter   // per request opcode
+	opLat    [len(opTable)]obs.Histogram // per request opcode service time
 	bytesIn  obs.Counter
 	bytesOut obs.Counter
 	traced   obs.Counter // requests that carried a trace id
@@ -203,18 +173,6 @@ type Server struct {
 	ln      net.Listener
 	backend Backend
 	opts    ServerOptions
-
-	// applyInto / scanInto are the backend's optional allocation-free
-	// capabilities, resolved once at construction (nil when absent).
-	applyInto batchApplier
-	scanInto  scanAppender
-
-	// views / localApply / epochs are the backend's optional elastic-
-	// membership capabilities (gossip exchange, store-only mirror writes,
-	// and the stale-epoch fence), resolved once at construction.
-	views      viewHost
-	localApply localApplier
-	epochs     epochHost
 
 	tokens chan struct{} // in-flight admission permits
 
@@ -259,11 +217,6 @@ func Serve(ln net.Listener, b Backend, opts ServerOptions) *Server {
 		s.spans = obs.NewSpanLog(opts.TraceBuffer)
 		s.spans.SetNode(ln.Addr().String())
 	}
-	s.applyInto, _ = b.(batchApplier)
-	s.scanInto, _ = b.(scanAppender)
-	s.views, _ = b.(viewHost)
-	s.localApply, _ = b.(localApplier)
-	s.epochs, _ = b.(epochHost)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -288,24 +241,19 @@ func (s *Server) SlowLog() *obs.SpanLog { return s.slow }
 // series SLO objectives layer over.
 func (s *Server) RequestLatency() *obs.Histogram { return &s.metrics.lat }
 
-// registeredOps is every request opcode RegisterMetrics exports a
-// counter series for — the dense low range the reqs array indexes.
-var registeredOps = []Opcode{
-	OpGet, OpPut, OpDelete, OpScan, OpBatch, OpStats, OpPing,
-	OpTaskSubmit, OpTaskStatus, OpShuffleFetch, OpTraceFetch,
-	OpGossip, OpMirror, OpGetLocal, OpMetricsFetch, OpEventsFetch,
-}
-
 // RegisterMetrics exports the server's counters into r under the
 // bd_transport_* families (DESIGN.md §11). Call once per server per
 // registry, at setup.
 func (s *Server) RegisterMetrics(r *obs.Registry) {
-	for _, op := range registeredOps {
+	for op, info := range opTable {
+		if info.name == "" {
+			continue
+		}
 		r.CounterFunc("bd_transport_requests_total", "Requests received, by opcode.",
-			obs.Labels{"op": opName(op)}, s.metrics.reqs[op].Value)
+			obs.Labels{"op": info.name}, s.metrics.reqs[op].Value)
 		r.RegisterHistogram("bd_transport_op_seconds",
 			"Request service time by opcode: admission wait plus dispatch.",
-			obs.Labels{"op": opName(op)}, &s.metrics.opLat[op])
+			obs.Labels{"op": info.name}, &s.metrics.opLat[op])
 	}
 	r.CounterFunc("bd_transport_bytes_total", "Wire bytes moved, by direction.",
 		obs.Labels{"dir": "in"}, s.metrics.bytesIn.Value)
@@ -422,6 +370,23 @@ func okFrame(id uint64) *frame {
 	return f
 }
 
+// ackFrame answers a write: RespOK, or the error frame for a non-nil err.
+func ackFrame(id uint64, err error) *frame {
+	if err != nil {
+		return errFrame(id, err)
+	}
+	return okFrame(id)
+}
+
+// valueFrame builds a RespValue frame, the engine's value appended
+// straight into the pooled buffer.
+func valueFrame(id uint64, v []byte, ok bool) *frame {
+	f := getFrame(frameOverhead + 4 + 1 + len(v))
+	f.b = beginResponse(f.b[:0], id, RespValue)
+	f.b = finishFrame(EncodeValue(f.b, v, ok))
+	return f
+}
+
 // viewFrame builds a RespView frame carrying an encoded cluster view
 // (empty when the peer is already in sync).
 func viewFrame(id uint64, view []byte) *frame {
@@ -500,12 +465,10 @@ func (s *Server) handle(conn net.Conn) {
 		// before admission. A stale router gets the fresh view back
 		// (RespView) instead of an answer computed against an ownership
 		// map it no longer holds — the client re-plans and retries.
-		if epoch != 0 && s.epochs != nil {
-			if cur := s.epochs.ViewEpoch(); cur != epoch {
-				putFrame(pf)
-				out <- viewFrame(id, s.epochs.EncodedView())
-				continue
-			}
+		if epoch != 0 && s.backend.ViewEpoch() != epoch {
+			putFrame(pf)
+			out <- viewFrame(id, s.backend.EncodedView())
+			continue
 		}
 		if int(op) < len(s.metrics.reqs) {
 			s.metrics.reqs[op].Inc()
@@ -536,11 +499,11 @@ func (s *Server) handle(conn net.Conn) {
 		// timeouts. A goroutine per exchange keeps the loop draining;
 		// probers send a handful of exchanges per second, so the fan-out
 		// is trivial.
-		if op == OpGossip && s.views != nil {
+		if op == OpGossip {
 			cs.reqs.Add(1)
 			go func(id uint64, payload []byte, pf *frame) {
 				defer cs.reqs.Done()
-				merged, gerr := s.views.HandleGossip(payload)
+				merged, gerr := s.backend.HandleGossip(payload)
 				putFrame(pf)
 				if gerr != nil {
 					out <- errFrame(id, gerr)
@@ -632,10 +595,7 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 	switch op {
 	case OpGet:
 		v, ok := s.backend.Get(payload)
-		f := getFrame(frameOverhead + 4 + 1 + len(v))
-		f.b = beginResponse(f.b[:0], id, RespValue)
-		f.b = finishFrame(EncodeValue(f.b, v, ok))
-		return f
+		return valueFrame(id, v, ok)
 	case OpPut:
 		key, value, err := DecodePut(payload)
 		if err != nil {
@@ -646,59 +606,38 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 			// through the one-op batch path so the context reaches the
 			// cluster's replication machinery (and the replicas' spans
 			// parent onto this hop). Untraced writes keep the direct call.
-			if err := s.applyTracedWrite(cluster.Op{
+			return ackFrame(id, s.applyTracedWrite(cluster.Op{
 				Kind: cluster.OpPut, Key: key, Value: value,
 				Trace: tc.trace, Parent: tc.span,
-			}); err != nil {
-				return errFrame(id, err)
-			}
-			return okFrame(id)
+			}))
 		}
-		if err := s.backend.Put(key, value); err != nil {
-			return errFrame(id, err)
-		}
-		return okFrame(id)
+		return ackFrame(id, s.backend.Put(key, value))
 	case OpDelete:
 		if tc.trace != 0 {
-			if err := s.applyTracedWrite(cluster.Op{
+			return ackFrame(id, s.applyTracedWrite(cluster.Op{
 				Kind: cluster.OpDelete, Key: payload,
 				Trace: tc.trace, Parent: tc.span,
-			}); err != nil {
-				return errFrame(id, err)
-			}
-			return okFrame(id)
+			}))
 		}
-		if err := s.backend.Delete(payload); err != nil {
-			return errFrame(id, err)
-		}
-		return okFrame(id)
+		return ackFrame(id, s.backend.Delete(payload))
 	case OpScan:
 		start, limit, err := DecodeScan(payload)
 		if err != nil {
 			return errFrame(id, err)
 		}
-		// Scan into a pooled entry buffer when the backend supports it;
-		// entry keys/values are engine-owned copies, so recycling the
-		// slice after encoding is aliasing-safe.
-		var entries []engine.Entry
-		var eb *[]engine.Entry
-		if s.scanInto != nil {
-			if v := entriesPool.Get(); v != nil {
-				eb = v.(*[]engine.Entry)
-			} else {
-				eb = new([]engine.Entry)
-			}
-			entries, err = s.scanInto.AppendScan((*eb)[:0], start, limit)
-		} else {
-			entries, err = s.backend.Scan(start, limit)
+		// Scan into a pooled entry buffer; entry keys/values are
+		// engine-owned copies, so recycling the slice after encoding is
+		// aliasing-safe.
+		eb, _ := entriesPool.Get().(*[]engine.Entry)
+		if eb == nil {
+			eb = new([]engine.Entry)
 		}
+		entries, err := s.backend.AppendScan((*eb)[:0], start, limit)
 		if err != nil {
 			// A degraded backend scan (lost keyrange coverage) fails the
 			// request loudly: a silently short page would poison the
 			// client's "short means exhausted" pagination contract.
-			if eb != nil {
-				entriesPool.Put(eb)
-			}
+			entriesPool.Put(eb)
 			return errFrame(id, err)
 		}
 		// Bound the response to what the peer will accept: a frame over
@@ -723,10 +662,8 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		f := getFrame(frameOverhead + 4 + encodedEntriesLen(entries))
 		f.b = beginResponse(f.b[:0], id, RespEntries)
 		f.b = finishFrame(EncodeEntries(f.b, entries, more))
-		if eb != nil {
-			*eb = entries[:0]
-			entriesPool.Put(eb)
-		}
+		*eb = entries[:0]
+		entriesPool.Put(eb)
 		return f
 	case OpBatch:
 		sc := batchPool.Get().(*batchScratch)
@@ -742,22 +679,15 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 				ops[i].Parent = tc.span
 			}
 		}
-		var res []cluster.OpResult
+		for cap(sc.res) < len(ops) {
+			sc.res = append(sc.res[:cap(sc.res)], cluster.OpResult{})
+		}
+		res := sc.res[:len(ops)]
 		var aerr error
-		if s.applyInto != nil {
-			for cap(sc.res) < len(ops) {
-				sc.res = append(sc.res[:cap(sc.res)], cluster.OpResult{})
-			}
-			res = sc.res[:len(ops)]
-			if try {
-				aerr = s.applyInto.TryApplyInto(ops, res)
-			} else {
-				aerr = s.applyInto.ApplyInto(ops, res)
-			}
-		} else if try {
-			res, aerr = s.backend.TryApply(ops)
+		if try {
+			aerr = s.backend.TryApplyInto(ops, res)
 		} else {
-			res, aerr = s.backend.Apply(ops)
+			aerr = s.backend.ApplyInto(ops, res)
 		}
 		// Results and the execution error travel together: TryApply
 		// under overload still returns the accepted portion. Results are
@@ -775,12 +705,6 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		f.b = beginResponse(f.b[:0], id, RespResults)
 		f.b = finishFrame(EncodeResults(f.b, res, aerr))
 		batchPool.Put(sc)
-		return f
-	case OpStats:
-		st := s.backend.Stats()
-		f := getFrame(frameOverhead + 4 + 4 + len(st.Nodes)*statsFieldCount*8)
-		f.b = beginResponse(f.b[:0], id, RespStats)
-		f.b = finishFrame(EncodeStats(f.b, st))
 		return f
 	case OpTaskSubmit:
 		if s.opts.Tasks == nil {
@@ -836,94 +760,63 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		f.b = beginResponse(f.b[:0], id, RespChunk)
 		f.b = finishFrame(EncodeChunk(f.b, chunk, more))
 		return f
-	case OpGossip:
-		if s.views == nil {
-			return errFrame(id, errors.New("transport: server hosts no elastic cluster"))
-		}
-		merged, err := s.views.HandleGossip(payload)
-		if err != nil {
-			return errFrame(id, err)
-		}
-		return viewFrame(id, merged)
 	case OpMirror:
-		if s.localApply == nil {
-			return errFrame(id, errors.New("transport: server hosts no elastic cluster"))
-		}
 		sc := batchPool.Get().(*batchScratch)
 		ops, migration, epoch, err := DecodeMirrorAppend(sc.ops[:0], payload)
 		if err == nil {
 			sc.ops = ops
-			err = s.localApply.ApplyLocal(ops, migration, epoch)
+			err = s.backend.ApplyLocal(ops, migration, epoch)
 		}
 		batchPool.Put(sc)
-		if err != nil {
-			return errFrame(id, err)
-		}
-		return okFrame(id)
+		return ackFrame(id, err)
 	case OpGetLocal:
-		if s.localApply == nil {
-			return errFrame(id, errors.New("transport: server hosts no elastic cluster"))
-		}
-		v, ok, err := s.localApply.GetLocal(payload)
+		v, ok, err := s.backend.GetLocal(payload)
 		if err != nil {
 			return errFrame(id, err)
 		}
-		f := getFrame(frameOverhead + 4 + 1 + len(v))
-		f.b = beginResponse(f.b[:0], id, RespValue)
-		f.b = finishFrame(EncodeValue(f.b, v, ok))
-		return f
-	case OpMetricsFetch:
-		// Cold path by design: a snapshot walks every series once under
-		// the registry lock, and nothing here touches the request pools
-		// beyond the response frame itself.
-		var snap *obs.RegistrySnapshot
-		if s.opts.Metrics != nil {
-			snap = s.opts.Metrics.Capture(s.Addr())
-		} else {
-			snap = &obs.RegistrySnapshot{Node: s.Addr()}
-		}
-		enc := obs.EncodeSnapshot(snap)
-		if frameOverhead+4+len(enc) > s.opts.MaxFrame {
-			return errFrame(id, fmt.Errorf("transport: metrics snapshot of %d bytes exceeds the frame limit", len(enc)))
-		}
-		f := getFrame(frameOverhead + 4 + len(enc))
-		f.b = beginResponse(f.b[:0], id, RespMetrics)
-		f.b = append(f.b, enc...)
-		f.b = finishFrame(f.b)
-		return f
-	case OpEventsFetch:
-		events := s.opts.Events.Events() // nil log → empty set
-		// Shed oldest events rather than build a frame the peer would
-		// reject; the timeline keeps its newest entries.
-		budget := s.opts.MaxFrame - frameOverhead - 64
-		for len(events) > 0 && obs.EncodedEventsLen(events) > budget {
-			events = events[1:]
-		}
-		enc := obs.EncodeEvents(events)
-		f := getFrame(frameOverhead + 4 + len(enc))
-		f.b = beginResponse(f.b[:0], id, RespEvents)
-		f.b = append(f.b, enc...)
-		f.b = finishFrame(f.b)
-		return f
+		return valueFrame(id, v, ok)
 	case OpTraceFetch:
 		tid, err := DecodeTaskID(payload)
 		if err != nil {
 			return errFrame(id, err)
 		}
-		spans := s.spans.ByTrace(tid)
-		// Shed oldest spans rather than build a frame the peer would
-		// reject; the assembler treats them as missing hops.
-		budget := s.opts.MaxFrame - frameOverhead - 64
-		for len(spans) > 0 && encodedSpansLen(spans) > budget {
-			spans = spans[1:]
+		return fetchFrame(s, id, RespSpans, s.spans.ByTrace(tid),
+			func(spans []obs.Span) []byte { return EncodeSpans(nil, spans) })
+	case OpMetricsFetch:
+		// A snapshot walks every series once under the registry lock; a
+		// server with no registry answers an empty snapshot.
+		snap := &obs.RegistrySnapshot{Node: s.Addr()}
+		if s.opts.Metrics != nil {
+			snap = s.opts.Metrics.Capture(s.Addr())
 		}
-		f := getFrame(frameOverhead + 4 + encodedSpansLen(spans))
-		f.b = beginResponse(f.b[:0], id, RespSpans)
-		f.b = finishFrame(EncodeSpans(f.b, spans))
-		return f
+		return fetchFrame(s, id, RespMetrics, snap.Fams, func(fams []obs.FamilySnapshot) []byte {
+			return obs.EncodeSnapshot(&obs.RegistrySnapshot{Node: snap.Node, Fams: fams})
+		})
+	case OpEventsFetch:
+		return fetchFrame(s, id, RespEvents, s.opts.Events.Events(), obs.EncodeEvents) // nil log → empty set
 	default:
 		return errFrame(id, ErrMalformed)
 	}
+}
+
+// fetchFrame answers a fetch opcode (trace, metrics, events) with items
+// in oldest-first order. Rather than build a frame the peer would drop
+// the connection over, the oldest items are shed until the encoding
+// fits: the trace assembler reads a shed span as a missing hop, the
+// timeline keeps its newest events, and a federation merge counts a
+// shed metric family as absent on this node. The fetch plane is a cold
+// path, so items are encoded once and copied into the frame.
+func fetchFrame[T any](s *Server, id uint64, resp Opcode, items []T, encode func([]T) []byte) *frame {
+	budget := s.opts.MaxFrame - frameOverhead - 64
+	enc := encode(items)
+	for len(enc) > budget && len(items) > 0 {
+		items = items[1:]
+		enc = encode(items)
+	}
+	f := getFrame(frameOverhead + 4 + len(enc))
+	f.b = beginResponse(f.b[:0], id, resp)
+	f.b = finishFrame(append(f.b, enc...))
+	return f
 }
 
 // applyTracedWrite routes one traced single-key write through the batch
@@ -932,12 +825,8 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 // the direct Put/Delete calls.
 func (s *Server) applyTracedWrite(op cluster.Op) error {
 	ops := [1]cluster.Op{op}
-	if s.applyInto != nil {
-		var res [1]cluster.OpResult
-		return s.applyInto.ApplyInto(ops[:], res[:])
-	}
-	_, err := s.backend.Apply(ops[:])
-	return err
+	var res [1]cluster.OpResult
+	return s.backend.ApplyInto(ops[:], res[:])
 }
 
 // Close drains the server gracefully: stop accepting, kick every

@@ -20,20 +20,20 @@ func TestTracedFrameWireForm(t *testing.T) {
 	if frame[12]&byte(opFlagTraced) == 0 {
 		t.Fatal("traced frame missing the trace flag bit")
 	}
-	op, trace, parent, rest, err := splitTrace(Opcode(frame[12]), frame[13:])
+	op, trace, parent, _, rest, err := splitExt(Opcode(frame[12]), frame[13:])
 	if err != nil || op != OpGet || trace != 42 || parent != 17 || string(rest) != "hello" {
-		t.Fatalf("splitTrace = (%v, %d, %d, %q, %v)", op, trace, parent, rest, err)
+		t.Fatalf("splitExt = (%v, %d, %d, %q, %v)", op, trace, parent, rest, err)
 	}
 	// A traced frame with a truncated extension is malformed, not a crash.
-	if _, _, _, _, err := splitTrace(OpGet|opFlagTraced, []byte{1, 2, 3}); err == nil {
+	if _, _, _, _, _, err := splitExt(OpGet|opFlagTraced, []byte{1, 2, 3}); err == nil {
 		t.Fatal("short traced payload accepted")
 	}
-	if _, _, _, _, err := splitTrace(OpGet|opFlagTraced, frame[13:25]); err == nil {
+	if _, _, _, _, _, err := splitExt(OpGet|opFlagTraced, frame[13:25]); err == nil {
 		t.Fatal("trace-only (parentless) extension accepted")
 	}
 	// Responses never carry the flag: 0x40 overlaps RespError's bit
-	// pattern, so splitTrace must pass responses through untouched.
-	op, trace, parent, _, err = splitTrace(RespError, []byte{9})
+	// pattern, so splitExt must pass responses through untouched.
+	op, trace, parent, _, _, err = splitExt(RespError, []byte{9})
 	if err != nil || op != RespError || trace != 0 || parent != 0 {
 		t.Fatalf("response opcode mangled: (%v, %d, %d, %v)", op, trace, parent, err)
 	}

@@ -48,8 +48,8 @@ type hookBackend struct {
 	Backend
 	mu       sync.Mutex
 	onGet    func()       // runs inside Get, before delegation
-	tryApply func() error // non-nil result overrides TryApply
-	apply    func() error // non-nil result overrides Apply
+	tryApply func() error // non-nil result overrides TryApplyInto
+	apply    func() error // non-nil result overrides ApplyInto
 }
 
 func (h *hookBackend) setTryApply(fn func() error) {
@@ -64,16 +64,16 @@ func (h *hookBackend) setApply(fn func() error) {
 	h.mu.Unlock()
 }
 
-func (h *hookBackend) Apply(ops []cluster.Op) ([]cluster.OpResult, error) {
+func (h *hookBackend) ApplyInto(ops []cluster.Op, res []cluster.OpResult) error {
 	h.mu.Lock()
 	hook := h.apply
 	h.mu.Unlock()
 	if hook != nil {
 		if err := hook(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return h.Backend.Apply(ops)
+	return h.Backend.ApplyInto(ops, res)
 }
 
 func (h *hookBackend) setOnGet(fn func()) {
@@ -92,16 +92,16 @@ func (h *hookBackend) Get(key []byte) ([]byte, bool) {
 	return h.Backend.Get(key)
 }
 
-func (h *hookBackend) TryApply(ops []cluster.Op) ([]cluster.OpResult, error) {
+func (h *hookBackend) TryApplyInto(ops []cluster.Op, res []cluster.OpResult) error {
 	h.mu.Lock()
 	hook := h.tryApply
 	h.mu.Unlock()
 	if hook != nil {
 		if err := hook(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return h.Backend.TryApply(ops)
+	return h.Backend.TryApplyInto(ops, res)
 }
 
 // TestClientServerOps drives every opcode end to end over a real socket.
@@ -159,11 +159,7 @@ func TestClientServerOps(t *testing.T) {
 		}
 	}
 
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Nodes) != 1 || st.Nodes[0].Store.Puts == 0 {
+	if st := backend.Stats(); len(st.Nodes) != 1 || st.Nodes[0].Store.Puts == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if srv.Served() == 0 {
@@ -250,9 +246,9 @@ func TestRemoteNodeConformance(t *testing.T) {
 		}
 	}
 	// Both remote shards hold a share.
-	for _, ns := range coord.Stats().Nodes {
-		if ns.Store.Puts == 0 {
-			t.Fatalf("member %d received no writes", ns.ID)
+	for i, shard := range []*cluster.Cluster{shard1, shard2} {
+		if shard.Stats().Nodes[0].Store.Puts == 0 {
+			t.Fatalf("shard %d received no writes", i+1)
 		}
 	}
 

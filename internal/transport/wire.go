@@ -40,7 +40,10 @@ const (
 	OpDelete Opcode = 0x03 // payload: key
 	OpScan   Opcode = 0x04 // payload: limit u32 | start key
 	OpBatch  Opcode = 0x05 // payload: flags u8 | count u32 | ops
-	OpStats  Opcode = 0x06 // payload: empty
+	// 0x06 (and its response 0x85) carried a hand-packed stats snapshot
+	// until the registry federation (OpMetricsFetch) replaced it. Both
+	// bytes stay reserved and answer like any unknown opcode.
+
 	// OpPing is the liveness probe. The server answers RespOK straight
 	// from the connection's read loop, without taking an admission
 	// permit: an overloaded server is alive, and health checks that shed
@@ -113,7 +116,6 @@ const (
 	RespOK      Opcode = 0x82 // payload: empty
 	RespEntries Opcode = 0x83 // payload: more u8 | count u32 | (klen u32|key|vlen u32|value)*
 	RespResults Opcode = 0x84 // payload: errcode u8 | msglen u32 | msg | count u32 | (outcome u8|vlen u32|value)*
-	RespStats   Opcode = 0x85 // payload: node count u32 | node stats*
 	// RespTask acks a task submission with the executor-local task id.
 	RespTask Opcode = 0x86 // payload: task id u64
 	// RespTaskStatus reports a task's completion state; a failed task's
@@ -142,6 +144,51 @@ const (
 	RespEvents Opcode = 0x8C // payload: encoded event list
 	RespError  Opcode = 0xFF // payload: errcode u8 | message
 )
+
+// opInfo is everything the transport knows about one request opcode
+// beyond its payload codec. Adding an opcode means adding its constant,
+// a row here, a dispatch case on the server and a Client method built
+// on exchange; names, metric series and response checks follow from the
+// row.
+type opInfo struct {
+	name  string // span suffix and metric label ("" = unassigned byte)
+	resp  Opcode // the one non-error response opcode a client accepts
+	epoch bool   // routed data-plane op: clients stamp their view epoch
+}
+
+// opTable is indexed by request opcode; its length bounds the server's
+// per-opcode counter arrays, so counting a request is one in-bounds
+// array index.
+var opTable = [...]opInfo{
+	OpGet:          {"get", RespValue, true},
+	OpPut:          {"put", RespOK, true},
+	OpDelete:       {"delete", RespOK, true},
+	OpScan:         {"scan", RespEntries, true},
+	OpBatch:        {"batch", RespResults, true},
+	OpPing:         {"ping", RespOK, false},
+	OpTaskSubmit:   {"task-submit", RespTask, false},
+	OpTaskStatus:   {"task-status", RespTaskStatus, false},
+	OpShuffleFetch: {"shuffle-fetch", RespChunk, false},
+	OpTraceFetch:   {"trace-fetch", RespSpans, false},
+	OpGossip:       {"gossip", RespView, false},
+	OpMirror:       {"mirror", RespOK, false},
+	OpGetLocal:     {"get-local", RespValue, false},
+	OpMetricsFetch: {"metrics-fetch", RespMetrics, false},
+	OpEventsFetch:  {"events-fetch", RespEvents, false},
+}
+
+// opName names an opcode for spans, metric labels and error text. A
+// request is named by its bare opcode, whatever extension flags it
+// carries.
+func opName(op Opcode) string {
+	if op&0x80 == 0 {
+		op &^= opFlagTraced | opFlagEpoch
+	}
+	if int(op) < len(opTable) && opTable[op].name != "" {
+		return opTable[op].name
+	}
+	return fmt.Sprintf("op(0x%02x)", byte(op))
+}
 
 // batchFlagTry marks an OpBatch for admission control (TryApply) rather
 // than backpressure (Apply).
@@ -190,15 +237,6 @@ func AppendTracedFrame(dst []byte, id uint64, op Opcode, trace, parent uint64, p
 	dst = binary.BigEndian.AppendUint64(dst, trace)
 	dst = binary.BigEndian.AppendUint64(dst, parent)
 	return append(dst, payload...)
-}
-
-// splitTrace strips the trace extension from a decoded request,
-// returning the bare opcode, the trace and parent span ids (zero when
-// untraced) and the true payload (aliasing p). Response opcodes pass
-// through untouched.
-func splitTrace(op Opcode, p []byte) (Opcode, uint64, uint64, []byte, error) {
-	op, trace, parent, _, payload, err := splitExt(op, p)
-	return op, trace, parent, payload, err
 }
 
 // splitExt strips every request extension — trace context and view
@@ -402,28 +440,12 @@ func readFrame(r io.Reader, maxFrame int) (id uint64, op Opcode, payload []byte,
 // encoding a payload and copying it through AppendFrame: begin the
 // header, append the payload codec output, finish the length prefix.
 
-// respHeader holds a precomputed 13-byte header template per response
-// opcode (length and id left zero), so beginning a response frame is one
-// bulk copy plus an id store.
-var respHeader [256][frameOverhead + 4]byte
-
-func init() {
-	for _, op := range []Opcode{
-		RespValue, RespOK, RespEntries, RespResults, RespStats,
-		RespTask, RespTaskStatus, RespChunk, RespSpans, RespView,
-		RespMetrics, RespEvents, RespError,
-	} {
-		respHeader[op][12] = byte(op)
-	}
-}
-
 // beginResponse appends a response frame header (zero length prefix,
-// to be stamped by finishFrame) from the precomputed per-opcode
-// template.
+// to be stamped by finishFrame).
 func beginResponse(b []byte, id uint64, op Opcode) []byte {
-	b = append(b, respHeader[op][:]...)
-	binary.BigEndian.PutUint64(b[len(b)-frameOverhead:], id)
-	return b
+	b = binary.BigEndian.AppendUint32(b, 0)
+	b = binary.BigEndian.AppendUint64(b, id)
+	return append(b, byte(op))
 }
 
 // beginRequest appends a request frame header with a placeholder id
@@ -750,89 +772,6 @@ func DecodeResults(p []byte) (res []cluster.OpResult, err, decodeErr error) {
 	return res, err, nil
 }
 
-// statsFieldCount is the number of u64 counters in one encoded NodeStats:
-// 6 node counters (id, accepted, rejected, batches, ops, transportErrs)
-// + 4 health fields (down flag, hints pending/replayed/dropped)
-// + 12 engine counters.
-const statsFieldCount = 22
-
-// EncodeStats appends a RespStats payload: the per-node counters only —
-// the aggregate fields are recomputed on decode, exactly as
-// cluster.Stats derives them.
-func EncodeStats(dst []byte, st cluster.Stats) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(st.Nodes)))
-	for _, ns := range st.Nodes {
-		for _, v := range nodeStatsFields(ns) {
-			dst = binary.BigEndian.AppendUint64(dst, v)
-		}
-	}
-	return dst
-}
-
-// DecodeStats parses a RespStats payload.
-func DecodeStats(p []byte) (cluster.Stats, error) {
-	var st cluster.Stats
-	if len(p) < 4 {
-		return st, ErrMalformed
-	}
-	count := binary.BigEndian.Uint32(p)
-	p = p[4:]
-	if uint64(len(p)) != uint64(count)*statsFieldCount*8 {
-		return st, ErrMalformed
-	}
-	for i := uint32(0); i < count; i++ {
-		var f [statsFieldCount]uint64
-		for j := range f {
-			f[j] = binary.BigEndian.Uint64(p)
-			p = p[8:]
-		}
-		ns := nodeStatsFromFields(f)
-		st.Nodes = append(st.Nodes, ns)
-		st.Accepted += ns.Accepted
-		st.Rejected += ns.Rejected
-		st.Batches += ns.Batches
-		st.Ops += ns.Ops
-		if ns.Down {
-			st.Down++
-		}
-	}
-	return st, nil
-}
-
-// nodeStatsFields flattens one NodeStats into its wire order.
-func nodeStatsFields(ns cluster.NodeStats) [statsFieldCount]uint64 {
-	s := ns.Store
-	var down uint64
-	if ns.Down {
-		down = 1
-	}
-	return [statsFieldCount]uint64{
-		uint64(int64(ns.ID)), ns.Accepted, ns.Rejected, ns.Batches, ns.Ops,
-		ns.TransportErrs,
-		down, ns.HintsPending, ns.HintsReplayed, ns.HintsDropped,
-		s.Puts, s.Gets, s.Deletes, s.Scans, s.ScannedEntries,
-		s.Flushes, s.Compactions, s.BloomNegative, s.RunsProbed,
-		s.WALBytes, s.BlockCacheHits, s.BlockCacheMisses,
-	}
-}
-
-// nodeStatsFromFields is the inverse of nodeStatsFields.
-func nodeStatsFromFields(f [statsFieldCount]uint64) cluster.NodeStats {
-	return cluster.NodeStats{
-		ID: int(int64(f[0])), Accepted: f[1], Rejected: f[2], Batches: f[3], Ops: f[4],
-		TransportErrs: f[5],
-		Down:          f[6] != 0,
-		HintsPending:  f[7],
-		HintsReplayed: f[8],
-		HintsDropped:  f[9],
-		Store: engine.Stats{
-			Puts: f[10], Gets: f[11], Deletes: f[12], Scans: f[13], ScannedEntries: f[14],
-			Flushes: f[15], Compactions: f[16], BloomNegative: f[17], RunsProbed: f[18],
-			WALBytes: f[19], BlockCacheHits: f[20], BlockCacheMisses: f[21],
-		},
-	}
-}
-
 // EncodeError appends a RespError payload for err.
 func EncodeError(dst []byte, err error) []byte {
 	code, msg := errorCode(err)
@@ -992,35 +931,6 @@ func DecodeSpans(p []byte) ([]obs.Span, error) {
 		return nil, ErrMalformed
 	}
 	return spans, nil
-}
-
-// encodedSpansLen is the payload size EncodeSpans will produce.
-func encodedSpansLen(spans []obs.Span) int {
-	n := 4
-	for i := range spans {
-		s := &spans[i]
-		n += spanFixedLen + 8 +
-			min16(len(s.Name)) + min16(len(s.Node)) + min16(len(s.Peer)) + min16(len(s.Err)) + 1
-		phases := s.Phases
-		if len(phases) > 0xFF {
-			phases = phases[:0xFF]
-		}
-		for _, ph := range phases {
-			l := len(ph.Name)
-			if l > 0xFF {
-				l = 0xFF
-			}
-			n += 1 + l + 8
-		}
-	}
-	return n
-}
-
-func min16(n int) int {
-	if n > 0xFFFF {
-		return 0xFFFF
-	}
-	return n
 }
 
 // EncodeShuffleFetch appends an OpShuffleFetch payload.

@@ -2,8 +2,11 @@
 # Transport smoke test, seven phases.
 #
 # Phase 1 — serve + drain: two bdserve shard servers in separate
-# processes, 1k OLTP ops driven over real sockets by bdbench -net, then
-# a SIGTERM graceful drain that must exit 0 on both servers.
+# processes, 1k OLTP ops driven over real sockets by bdbench -net, whose
+# -json record must carry the servers' own engine work (the bd_engine_*
+# deltas come from the servers' registries over OpMetricsFetch, not from
+# the client process), then a SIGTERM graceful drain that must exit 0 on
+# both servers.
 #
 # Phase 2 — failover: two bdserve processes joined with replication 2,
 # bdbench -net -chaos driving load for a fixed duration while one server
@@ -88,7 +91,18 @@ P1=$!
 P2=$!
 
 # bdbench's dial retries cover server startup; no sleep needed.
-"$BIN/bdbench" -net -addr "$A1,$A2" -ops 1000 -rows 500 -clients 4
+"$BIN/bdbench" -net -addr "$A1,$A2" -ops 1000 -rows 500 -clients 4 \
+    -json "$BIN/phase1.json"
+# The run record's metrics are server-side deltas over the timed phase:
+# the 95/5 mix must show up as engine reads and writes on the servers. A
+# delta taken in the client process reads 0 for both.
+for family in bd_engine_gets_total bd_engine_puts_total; do
+    if ! grep -Eq "\"$family\": [1-9]" "$BIN/phase1.json"; then
+        echo "transport smoke: -json record carries no server-side $family delta" >&2
+        grep 'bd_engine' "$BIN/phase1.json" >&2 || true
+        exit 1
+    fi
+done
 
 kill -TERM "$P1" "$P2"
 # `|| Ex=$?` keeps a non-zero wait from tripping set -e before the check.
