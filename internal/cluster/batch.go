@@ -36,6 +36,15 @@ var (
 	// re-routes and retries instead of reading or writing through an
 	// ownership map that no longer holds.
 	ErrWrongEpoch = errors.New("cluster: request carried a stale view epoch")
+	// ErrUnsettled refuses a write on a static cluster whose last
+	// membership change failed half way (AddNode, RemoveNode, AddRemote
+	// returned an error): some keyranges sit between two layouts, and
+	// static clusters move data only while writes are held off, so a
+	// write accepted now would be overwritten or dropped when the change
+	// is resolved. Reads and scans keep working; the next successful
+	// membership change (typically RemoveNode of the member that failed
+	// to join, or a retry) lifts it.
+	ErrUnsettled = errors.New("cluster: membership change incomplete, writes refused until it is resolved")
 )
 
 // OpKind selects the operation a batched Op performs.
@@ -229,7 +238,11 @@ func (c *Cluster) planInto(st *applyState, ops []Op, results []OpResult) error {
 	if c.ring.Size() == 0 {
 		return ErrNoNodes
 	}
+	frozen := c.frozenLocked()
 	for i, op := range ops {
+		if frozen && op.Kind != OpGet {
+			return fmt.Errorf("cluster: op %d on key %q: %w", i, op.Key, ErrUnsettled)
+		}
 		// Routing resolves on the allocation-free Primary when it is
 		// live and the op needs no replica set — on a read-heavy healthy
 		// cluster that is most of the hot path. Writes under R>1 and any

@@ -144,7 +144,7 @@ func (c *Config) normalize() {
 type Cluster struct {
 	mu     sync.RWMutex // topology lock: ring + member map + view
 	cfg    Config
-	ring   *Ring
+	ring   *Ring // always view.Ring(): commitViewLocked is its only writer
 	nodes  map[int]*memberState
 	nextID int
 	closed bool
@@ -157,9 +157,7 @@ type Cluster struct {
 	// recorded for, so retried copy passes log the start once.
 	migStartEpoch atomic.Uint64
 
-	// view is the current membership view; ring is always view.Ring()
-	// (elastic) or an equivalent hand-maintained ring (legacy AddNode /
-	// RemoveNode paths, which rebuild the view after each mutation).
+	// view is the current membership view, static cluster or elastic.
 	// lastSettled is the most recent view every live member finished
 	// migrating for — the ownership map acknowledged writes are guaranteed
 	// to have reached, which reads consult while an epoch is in flight.
@@ -179,7 +177,7 @@ type Cluster struct {
 	encView atomic.Pointer[[]byte]
 
 	// selfID is this process's member id on the elastic ring, or -1 for
-	// legacy clusters and route-only coordinators. selfInc is the
+	// static clusters and route-only coordinators. selfInc is the
 	// incarnation high-water of our own published membership row.
 	selfID  int
 	selfInc uint64
@@ -223,15 +221,7 @@ type Cluster struct {
 // participant (see Config.SelfAddr).
 func New(cfg Config) *Cluster {
 	cfg.normalize()
-	c := &Cluster{cfg: cfg, ring: NewRing(cfg.VirtualNodes), nodes: map[int]*memberState{}, spans: cfg.Spans, events: cfg.Events, selfID: -1}
-	if cfg.SelfAddr != "" || cfg.RouteOnly {
-		return c.initElastic()
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		c.addNodeLocked()
-	}
-	c.rebuildStaticViewLocked()
-	return c
+	return newCluster(cfg)
 }
 
 // NewEmpty builds a coordinator with no members — a pure router for
@@ -240,80 +230,44 @@ func New(cfg Config) *Cluster {
 // first member joins, reads miss and batches return ErrNoNodes.
 func NewEmpty(cfg Config) *Cluster {
 	cfg.normalize()
-	c := &Cluster{cfg: cfg, ring: NewRing(cfg.VirtualNodes), nodes: map[int]*memberState{}, spans: cfg.Spans, events: cfg.Events, selfID: -1}
-	c.rebuildStaticViewLocked()
-	return c
+	cfg.Shards = 0
+	return newCluster(cfg)
 }
 
-// initElastic finishes constructing an elastic cluster: a single local
-// shard keyed by the advertised address (members), or no shard at all
-// (route-only coordinators), plus the initial one-row view.
-func (c *Cluster) initElastic() *Cluster {
-	if c.cfg.Dial == nil {
-		panic("cluster: elastic configuration requires Config.Dial")
-	}
+// newCluster is the one constructor body: open the local shards the
+// configuration calls for — cfg.Shards sequentially numbered ones, or an
+// elastic member's single shard keyed by its advertised address, or none
+// (NewEmpty, route-only coordinators) — and commit the first view over
+// them, settled: there is no earlier layout to migrate from. A view with
+// no rows is epoch 0; a route-only coordinator adopts whatever its seeds
+// hold from there.
+func newCluster(cfg Config) *Cluster {
+	c := &Cluster{cfg: cfg, nodes: map[int]*memberState{}, spans: cfg.Spans, events: cfg.Events, selfID: -1}
 	var rows []MemberInfo
-	epoch := uint64(0) // route-only: adopt whatever the seeds hold
-	if !c.cfg.RouteOnly {
-		c.selfID = MemberIDForAddr(c.cfg.SelfAddr)
-		c.selfInc = 1
-		epoch = 1
-		eng, err := engine.Open(c.cfg.Engine)
-		if err != nil {
-			panic(fmt.Sprintf("cluster: bad engine config: %v", err))
+	switch {
+	case cfg.RouteOnly: // no shard, no row
+	case cfg.SelfAddr != "":
+		c.selfID, c.selfInc = MemberIDForAddr(cfg.SelfAddr), 1
+		c.addLocalLocked(c.selfID, cfg.SelfAddr)
+		rows = []MemberInfo{{ID: c.selfID, Addr: cfg.SelfAddr, Incarnation: 1, Settled: 1}}
+	default:
+		for ; c.nextID < cfg.Shards; c.nextID++ {
+			c.addLocalLocked(c.nextID, "")
+			rows = append(rows, MemberInfo{ID: c.nextID, Incarnation: 1, Settled: 1})
 		}
-		n := newNode(c.selfID, eng, c.cfg.QueueDepth, c.cfg.WorkersPerNode, c.cfg.MaxBatch)
-		n.spans = c.spans
-		n.start()
-		ms := newMemberState(n, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
-		ms.spans = c.spans
-		ms.events = c.events
-		ms.addr = c.cfg.SelfAddr
-		c.nodes[c.selfID] = ms
-		rows = append(rows, MemberInfo{
-			ID: c.selfID, Addr: c.cfg.SelfAddr,
-			Status: StatusAlive, Incarnation: 1, Settled: 1,
-		})
 	}
-	v := newView(epoch, c.cfg.Replication, c.cfg.VirtualNodes, rows)
-	c.view, c.lastSettled, c.ring = v, v, v.Ring()
-	c.epoch.Store(v.Epoch)
-	enc := v.Encode()
-	c.encView.Store(&enc)
-	c.startProberLocked() // gossip rides the probe sweep
+	epoch := uint64(1)
+	if len(rows) == 0 {
+		epoch = 0
+	}
+	c.commitViewLocked(newView(epoch, cfg.Replication, cfg.VirtualNodes, rows))
+	if c.elastic() {
+		if cfg.Dial == nil {
+			panic("cluster: elastic configuration requires Config.Dial")
+		}
+		c.startProberLocked() // gossip rides the probe sweep
+	}
 	return c
-}
-
-// rebuildStaticViewLocked derives a fully settled view from the current
-// hand-maintained ring — the legacy (non-elastic) topology paths call it
-// after every mutation so epochs still version ownership changes and
-// scans can detect a ring swap mid-scatter. Caller holds mu (or is the
-// constructor).
-func (c *Cluster) rebuildStaticViewLocked() {
-	var epoch uint64
-	if c.view != nil {
-		epoch = c.view.Epoch
-	}
-	if c.ring.Size() > 0 || c.view != nil {
-		epoch++
-	}
-	rows := make([]MemberInfo, 0, len(c.nodes))
-	for id, m := range c.nodes {
-		if !c.ring.Contains(id) {
-			continue // mid-removal member kept alive by a failed migration
-		}
-		rows = append(rows, MemberInfo{
-			ID: id, Addr: m.addr,
-			Status: StatusAlive, Incarnation: 1, Settled: epoch,
-		})
-	}
-	v := newView(epoch, c.cfg.Replication, c.cfg.VirtualNodes, rows)
-	c.view, c.lastSettled = v, v
-	c.epoch.Store(v.Epoch)
-	enc := v.Encode()
-	c.encView.Store(&enc)
-	// c.ring keeps its hand-maintained identity (RemoveNode's failure
-	// bookkeeping depends on it); membership is identical to v.Ring().
 }
 
 // elastic reports whether this cluster participates in epoch-versioned
@@ -322,40 +276,47 @@ func (c *Cluster) elastic() bool {
 	return c.cfg.SelfAddr != "" || c.cfg.RouteOnly
 }
 
-// localNodeLocked returns this member's local shard, or nil for legacy
-// clusters and route-only coordinators. Caller holds mu.
-func (c *Cluster) localNodeLocked() *Node {
-	if c.selfID < 0 {
-		return nil
-	}
-	ms := c.nodes[c.selfID]
-	if ms == nil {
-		return nil
-	}
-	n, _ := ms.member.(*Node)
-	return n
+// frozenLocked reports that a static membership change stopped half way
+// and writes must wait for its resolution (ErrUnsettled). An elastic
+// member's unsettled view is its migrator at work beside traffic, guards
+// armed; a static cluster's is a quiesced change that lost its lock.
+// Caller holds mu.
+func (c *Cluster) frozenLocked() bool {
+	return !c.view.AllSettled() && !c.elastic()
 }
 
-// addNodeLocked creates, starts and registers one node. Caller holds mu.
-// An unconstructible engine configuration is a programmer error and
-// panics; pre-validate user-supplied names with engine.Validate.
-func (c *Cluster) addNodeLocked() *Node {
-	id := c.nextID
-	c.nextID++
+// localNodeLocked returns this member's local shard, or nil for static
+// clusters and route-only coordinators. Caller holds mu.
+func (c *Cluster) localNodeLocked() *Node {
+	if ms := c.nodes[c.selfID]; ms != nil {
+		n, _ := ms.member.(*Node)
+		return n
+	}
+	return nil
+}
+
+// addLocalLocked opens, starts and registers one in-process shard under
+// id; its view row is the caller's to commit. Caller holds mu (or is the
+// constructor). An unconstructible engine configuration is a programmer
+// error and panics; pre-validate user-supplied names with
+// engine.Validate.
+func (c *Cluster) addLocalLocked(id int, addr string) {
 	eng, err := engine.Open(c.cfg.Engine)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: bad engine config: %v", err))
 	}
-	n := newNode(id, eng, c.cfg.QueueDepth,
-		c.cfg.WorkersPerNode, c.cfg.MaxBatch)
+	n := newNode(id, eng, c.cfg.QueueDepth, c.cfg.WorkersPerNode, c.cfg.MaxBatch)
 	n.spans = c.spans
 	n.start()
-	ms := newMemberState(n, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
-	ms.spans = c.spans
-	ms.events = c.events
-	c.nodes[id] = ms
-	c.ring.Add(id)
-	return n
+	c.nodes[id] = c.wrapMember(n, addr)
+}
+
+// wrapMember layers the coordinator's failure-detection and hinted-
+// handoff state over m, wired to the cluster's span and event logs.
+func (c *Cluster) wrapMember(m member, addr string) *memberState {
+	ms := newMemberState(m, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
+	ms.spans, ms.events, ms.addr = c.spans, c.events, addr
+	return ms
 }
 
 // Nodes returns the current member count.
@@ -409,7 +370,7 @@ func (c *Cluster) Get(key []byte) ([]byte, bool) {
 	}
 	// Fast path: a live primary that holds the key — one member touch on
 	// the allocation-free Primary lookup.
-	settled := c.view == nil || c.view.AllSettled()
+	settled := c.view.AllSettled()
 	m := c.nodes[id]
 	c.mu.RUnlock()
 	if m != nil && !m.isDown() {
@@ -436,7 +397,7 @@ func (c *Cluster) Get(key []byte) ([]byte, bool) {
 	// Migration in flight: the key may still live only at its owners
 	// under the last fully settled view (the new owner's copy has not
 	// landed yet), so consult them too before answering "absent".
-	if !settled && c.lastSettled != nil {
+	if !settled {
 		for _, id := range c.lastSettled.Ring().Owners(key, c.cfg.Replication) {
 			owners = append(owners, c.nodes[id])
 		}
@@ -479,6 +440,10 @@ func (c *Cluster) write(op Op) error {
 	st := applyPool.Get().(*applyState)
 	defer st.release()
 	c.mu.RLock()
+	if c.frozenLocked() {
+		c.mu.RUnlock()
+		return fmt.Errorf("cluster: write %q: %w", op.Key, ErrUnsettled)
+	}
 	st.owners = c.ring.AppendOwners(st.owners[:0], op.Key, c.cfg.Replication)
 	var lead, primary *memberState
 	for i, id := range st.owners {
@@ -598,7 +563,7 @@ func (c *Cluster) applyInto(ops []Op, results []OpResult, enqueue func(member, *
 		firstErr = st.errs.first()
 	}
 	st.release()
-	if firstErr == nil && view != nil && !view.AllSettled() {
+	if firstErr == nil && !view.AllSettled() {
 		// Migration in flight: a read that missed at its new owner may
 		// still live only under the last settled ownership map.
 		c.fallbackReads(ops, results)
@@ -616,9 +581,6 @@ func (c *Cluster) fallbackReads(ops []Op, results []OpResult) {
 	ls := c.lastSettled
 	repl := c.cfg.Replication
 	c.mu.RUnlock()
-	if ls == nil {
-		return
-	}
 	for i, op := range ops {
 		if op.Kind != OpGet || results[i].Found {
 			continue
@@ -697,24 +659,13 @@ func (c *Cluster) scanOnce(dst []engine.Entry, start []byte, limit int) (merged 
 		c.mu.RUnlock()
 		return dst, false, nil
 	}
-	epoch := uint64(0)
-	if c.view != nil {
-		epoch = c.view.Epoch
-	}
+	epoch := c.view.Epoch
 	ids := c.ring.Members()
-	// While an epoch's migration is in flight, members of the last
-	// settled view may still hold the only copy of a moving keyrange —
-	// scan the union of both member sets (the merge dedups).
-	if c.view != nil && !c.view.AllSettled() && c.lastSettled != nil {
-		have := make(map[int]bool, len(ids))
-		for _, id := range ids {
-			have[id] = true
-		}
-		for _, id := range c.lastSettled.Ring().Members() {
-			if !have[id] {
-				ids = append(ids, id)
-			}
-		}
+	if !c.view.AllSettled() {
+		// While an epoch's migration is in flight, members of the last
+		// settled view may still hold the only copy of a moving keyrange —
+		// scan the union of both member sets (the merge dedups).
+		ids = ringUnion(c.view, c.lastSettled)
 	}
 	members := make([]*memberState, len(ids))
 	for i, id := range ids {

@@ -203,8 +203,7 @@ func TestClusterTryApplyOverload(t *testing.T) {
 	c.mu.Lock()
 	stopped := newNode(99, eng, 1, 1, 4)
 	c.nodes[99] = newMemberState(stopped, 3, 64, 32)
-	c.ring = NewRing(8)
-	c.ring.Add(99)
+	c.commitViewLocked(newView(2, 1, 8, []MemberInfo{{ID: 99, Incarnation: 1, Settled: 2}}))
 	c.mu.Unlock()
 
 	// Fill the depth-1 queue directly, then watch TryApply shed.

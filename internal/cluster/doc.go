@@ -26,9 +26,23 @@
 //     primary's write lock (replicate.go) — so a subsequent read of the
 //     primary always observes them (read-your-writes on the primary).
 //
-//   - Rebalance (rebalance.go): AddNode/RemoveNode recompute the ring and
-//     migrate exactly the entries whose owner set changed, quiescing
-//     in-flight traffic via the topology lock.
+//   - Views and migration (view.go, migrate.go): membership is an
+//     immutable, epoch-versioned ClusterView — the ring is always a
+//     view's ring — and every membership change is the same three steps:
+//     derive the next view, commit it, and run the copy pass (push each
+//     key to the owners it gained) and, once the view has settled, the
+//     drop pass (delete it from the owners it lost). Elastic members
+//     (gossip.go) drive the passes from a throttled background loop
+//     beside live traffic.
+//
+//   - Rebalance (rebalance.go): AddNode/RemoveNode/AddRemote are the
+//     static driver of those passes. They hold the topology lock for the
+//     whole change (new ops park on it), run the passes synchronously
+//     for every ring member, and move exactly the entries whose owner
+//     set changed. A change that fails part-way leaves the view
+//     unsettled: nothing was dropped, reads keep consulting the last
+//     settled owners, and writes are refused (ErrUnsettled) until a later
+//     change resolves it — the lock was their only protection.
 //
 //   - Health (health.go): every member is wrapped in a failure detector
 //     with a hinted-handoff buffer. A background prober pings members

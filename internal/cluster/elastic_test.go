@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/transport"
 )
 
@@ -298,6 +299,31 @@ func TestScanAgreesWithConcurrentJoin(t *testing.T) {
 		}
 	}
 	t.Logf("%d clean scans, %d raced retries exhausted", scans, raced)
+
+	// The elastic driver of the migration passes owes the same end state
+	// the static one does (rebalance_test.go): once every member's drop
+	// pass has run, each key sits on exactly its owners under the final
+	// ring and nowhere else.
+	waitDeadline := time.Now().Add(5 * time.Second)
+	for _, m := range members {
+		for !m.cl.DropsDone() {
+			if time.Now().After(waitDeadline) {
+				t.Fatalf("member %s never finished its drop pass", m.addr)
+			}
+			time.Sleep(probeInterval)
+		}
+	}
+	stores := map[int][]engine.Entry{}
+	for _, m := range members {
+		entries, err := m.cl.Scan(nil, rows*2) // an elastic member scans its own shard only
+		if err != nil {
+			t.Fatalf("scan of member %s: %v", m.addr, err)
+		}
+		stores[cluster.MemberIDForAddr(m.addr)] = entries
+	}
+	if got := cluster.AssertPlacement(t, stores, coord.View().Ring(), 2); got != rows {
+		t.Fatalf("%d distinct keys stored after the join, want %d", got, rows)
+	}
 }
 
 func allSettled(members []*elasticMember) bool {

@@ -38,6 +38,39 @@ func TestClusterLifecycleEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, k := range remoteKeys(c, id, 10) {
+		if err := c.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Joins commit views and run the migration passes like any membership
+	// change, so set-up already has a timeline — of those kinds only.
+	before := eventKinds(log)
+	for kind, n := range before {
+		switch kind {
+		case obs.EventViewCommit, obs.EventMigrationStart, obs.EventMigrationEnd:
+		default:
+			t.Fatalf("healthy cluster recorded %d %v events, want no failover, hint or detector event", n, kind)
+		}
+	}
+
+	// A static membership change over data is on the same timeline as an
+	// elastic one: the commit that moved ownership, then the copy pass's
+	// start and its settle, once each.
+	_, report, err := c.AddNode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Copied == 0 {
+		t.Fatal("AddNode over a populated ring moved nothing")
+	}
+	after := eventKinds(log)
+	for _, kind := range []obs.EventKind{obs.EventViewCommit, obs.EventMigrationStart, obs.EventMigrationEnd} {
+		if got := after[kind] - before[kind]; got != 1 {
+			t.Fatalf("AddNode recorded %d %v events, want exactly 1", got, kind)
+		}
+	}
+
 	keys := remoteKeys(c, id, 10)
 	if len(keys) < 10 {
 		t.Fatal("no keys with a remote primary found")
@@ -46,9 +79,6 @@ func TestClusterLifecycleEvents(t *testing.T) {
 		if err := c.Put(k, k); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if n := log.Total(); n != 0 {
-		t.Fatalf("healthy cluster recorded %d events, want none", n)
 	}
 
 	rem.down.Store(true)

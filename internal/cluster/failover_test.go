@@ -18,6 +18,10 @@ import (
 type chaosRemote struct {
 	c    *Cluster
 	down atomic.Bool
+	// dieAfter, when positive, counts RPCs down: the one that reaches zero
+	// finds the remote down, and so does every later one — a transport that
+	// dies part way through a sequence of calls.
+	dieAfter atomic.Int64
 	// sealed, when set, fails that test on any further RPC: the proof a
 	// code path under test stays off the wire.
 	sealed atomic.Pointer[testing.T]
@@ -30,6 +34,9 @@ func newChaosRemote() *chaosRemote {
 func (r *chaosRemote) rpc() error {
 	if t := r.sealed.Load(); t != nil {
 		t.Error("RPC issued to a sealed remote")
+	}
+	if r.dieAfter.Load() > 0 && r.dieAfter.Add(-1) == 0 {
+		r.down.Store(true)
 	}
 	if r.down.Load() {
 		return errNetDown
@@ -45,20 +52,6 @@ func (r *chaosRemote) Get(key []byte) ([]byte, bool, error) {
 	}
 	v, ok := r.c.Get(key)
 	return v, ok, nil
-}
-
-func (r *chaosRemote) Put(key, value []byte) error {
-	if err := r.rpc(); err != nil {
-		return err
-	}
-	return r.c.Put(key, value)
-}
-
-func (r *chaosRemote) Delete(key []byte) error {
-	if err := r.rpc(); err != nil {
-		return err
-	}
-	return r.c.Delete(key)
 }
 
 func (r *chaosRemote) Scan(start []byte, limit int) ([]engine.Entry, error) {

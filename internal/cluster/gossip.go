@@ -29,12 +29,13 @@ import (
 
 var (
 	errNotElastic = errors.New("cluster: not an elastic member")
-	// errNotStatic rejects the legacy quiesced topology mutations on
-	// elastic clusters — membership changes go through Join/Leave there.
+	// errNotStatic rejects the quiesced topology mutations (AddNode,
+	// RemoveNode, AddRemote) on elastic clusters — membership changes go
+	// through Join/Leave there.
 	errNotStatic = errors.New("cluster: elastic membership, use Join/Leave")
 )
 
-// View returns the current membership view (nil only before New).
+// View returns the current membership view.
 func (c *Cluster) View() *ClusterView {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -65,7 +66,7 @@ func (c *Cluster) EncodedView() []byte {
 func (c *Cluster) Settled() bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.view == nil || c.view.AllSettled()
+	return c.view.AllSettled()
 }
 
 // HandleGossip is the server half of one anti-entropy exchange: merge
@@ -162,7 +163,7 @@ func (c *Cluster) GetLocal(key []byte) ([]byte, bool, error) {
 // run outside the lock.
 func (c *Cluster) adopt(pv *ClusterView) *ClusterView {
 	c.mu.Lock()
-	if c.closed || c.view == nil {
+	if c.closed {
 		c.mu.Unlock()
 		return nil
 	}
@@ -291,7 +292,7 @@ func (c *Cluster) ensureMembers() {
 	}
 	c.mu.Lock()
 	var want []MemberInfo
-	if c.view != nil && !c.closed {
+	if !c.closed {
 		if c.dialing == nil {
 			c.dialing = make(map[int]struct{})
 		}
@@ -322,19 +323,7 @@ func (c *Cluster) ensureMembers() {
 // ring already contains the id (it came from the view), so this only
 // fills the member map.
 func (c *Cluster) addViewMember(m MemberInfo, r Remote) {
-	rm := &remoteMember{id: m.ID, r: r, spans: c.spans, localMirror: true}
-	rm.tr, _ = r.(tracedRemote)
-	rm.gr, _ = r.(gossipRemote)
-	rm.lr, _ = r.(localRemote)
-	rm.es, _ = r.(epochStamper)
-	// Fence this connection from the first call: routed requests to an
-	// elastic peer carry our epoch, so a ring disagreement bounces at the
-	// peer's admission instead of being re-forwarded by its ring.
-	rm.setEpoch(c.epoch.Load())
-	ms := newMemberState(rm, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
-	ms.spans = c.spans
-	ms.events = c.events
-	ms.addr = m.Addr
+	ms := c.wrapRemote(m.ID, r, true, m.Addr)
 	c.mu.Lock()
 	if c.closed || c.nodes[m.ID] != nil {
 		c.mu.Unlock()
@@ -463,7 +452,7 @@ func (c *Cluster) Leave(timeout time.Duration) error {
 // and fires the view-change side effects.
 func (c *Cluster) publishSelf(status MemberStatus) {
 	c.mu.Lock()
-	if c.closed || c.view == nil {
+	if c.closed {
 		c.mu.Unlock()
 		return
 	}
@@ -518,7 +507,7 @@ func (c *Cluster) gossipNow() {
 // is the sweep's snapshot.
 func (c *Cluster) publishHealth(members []*memberState) {
 	c.mu.Lock()
-	if c.closed || c.view == nil {
+	if c.closed {
 		c.mu.Unlock()
 		return
 	}

@@ -59,7 +59,7 @@ type memberState struct {
 	dropEvented     atomic.Bool
 
 	// addr is the member's advertised address on elastic clusters (empty
-	// for legacy members); it keys the member's view row.
+	// for a static cluster's members); it keys the member's view row.
 	addr string
 	// downSweeps counts consecutive probe sweeps the member has spent
 	// down — the declare-dead clock (Config.DeclareDeadAfter). Only the
@@ -259,18 +259,6 @@ func (s *memberState) directGet(key []byte) ([]byte, bool, error) {
 	return v, ok, err
 }
 
-func (s *memberState) directPut(key, value []byte) error {
-	err := s.member.directPut(key, value)
-	s.note(err)
-	return err
-}
-
-func (s *memberState) directDelete(key []byte) error {
-	err := s.member.directDelete(key)
-	s.note(err)
-	return err
-}
-
 func (s *memberState) snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
 	entries, err := s.member.snapshotScan(dst, start, limit)
 	s.note(err)
@@ -303,6 +291,17 @@ func (s *memberState) mirrorBatch(ops []Op) error {
 	}
 	s.hintBatch(ops)
 	return nil
+}
+
+// storeBatch lands ops on the member's own store now or not at all: the
+// static mover's deliver step (rebalanceLocked). Nothing defers to
+// hinted handoff — a copy parked in a hint buffer would be outrun by the
+// drop pass, so a batch that did not land must fail the membership
+// change instead.
+func (s *memberState) storeBatch(ops []Op) error {
+	err := s.member.mirrorBatch(ops)
+	s.note(err)
+	return err
 }
 
 // hintBatch buffers ops as hints and, when they are traced and a span
@@ -363,7 +362,7 @@ func (c *Cluster) Probe() {
 		c.mu.RUnlock()
 		return
 	}
-	elastic := c.elastic() && c.view != nil
+	elastic := c.elastic()
 	members := make([]*memberState, 0, len(c.nodes))
 	for _, m := range c.nodes {
 		members = append(members, m)
@@ -439,9 +438,6 @@ func (c *Cluster) startProberLocked() {
 func (c *Cluster) MemberAddrs() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.view == nil {
-		return nil
-	}
 	out := make([]string, 0, len(c.view.Members))
 	for _, m := range c.view.Members {
 		if m.Addr == "" || m.Status == StatusLeft {

@@ -9,7 +9,10 @@ import "repro/internal/engine"
 // members pay one round trip. A non-nil error reports a batch the target
 // did not take, whatever the reason — the health layer (memberState)
 // turns every op in it into a hinted-handoff entry instead of losing the
-// copy. A single mirrored write is a batch of one.
+// copy. A single mirrored write is a batch of one. A static membership
+// change moves its copies and drops through the same call, unhinted
+// (memberState.storeBatch): there a batch that did not land fails the
+// change.
 type mirror interface {
 	mirrorBatch(ops []Op) error
 }
@@ -34,12 +37,6 @@ type member interface {
 	// transport failure from a genuine miss, so failover reads never
 	// mistake a dead member for an absent key.
 	directGet(key []byte) ([]byte, bool, error)
-	// directPut and directDelete apply unqueued writes; the rebalancer
-	// uses them to move copies during membership changes and must learn
-	// about transport failures, so they return an error (always nil for
-	// local nodes).
-	directPut(key, value []byte) error
-	directDelete(key []byte) error
 	// execute runs one sub-batch to completion on the calling goroutine
 	// — the primary apply and, for a replicated sub-batch, the mirror
 	// fan-out, as a unit serialized against other writers led by this

@@ -135,9 +135,11 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("bd_cluster_ops_total", "Point ops executed on local members.", nil,
 		func() uint64 { _, _, _, o := c.localCounters(); return o })
 
-	// Elastic membership: view agreement and migration progress. Static
-	// clusters report their synthetic view (epoch bumps on AddNode and
-	// friends, settled always 1), so dashboards need no mode switch.
+	// Membership: view agreement and migration progress. Static clusters
+	// commit the same views and run the same passes (AddNode and friends
+	// bump the epoch and count their copies and drops here; settled reads
+	// 0 only while a change that failed part-way awaits its retry), so
+	// dashboards need no mode switch.
 	r.GaugeFunc("bd_cluster_epoch", "Current membership view epoch.", nil,
 		func() float64 { return float64(c.epoch.Load()) })
 	r.GaugeFunc("bd_cluster_settled", "1 when every live member settled the current epoch, 0 while migration is in flight.", nil,
@@ -151,9 +153,9 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry) {
 		c.viewChanges.Load)
 	r.CounterFunc("bd_cluster_gossip_rounds_total", "Anti-entropy view exchanges served or swept.", nil,
 		c.gossipRounds.Load)
-	r.CounterFunc("bd_cluster_migration_bytes_total", "Bytes pushed by online migration (throttled copy passes and redrives).", nil,
+	r.CounterFunc("bd_cluster_migration_bytes_total", "Bytes pushed by migration (copy passes and redrives).", nil,
 		c.migBytes.Load)
-	r.CounterFunc("bd_cluster_migration_keys_total", "Key copies pushed by online migration.", nil,
+	r.CounterFunc("bd_cluster_migration_keys_total", "Key copies pushed by migration.", nil,
 		c.migKeys.Load)
 	r.CounterFunc("bd_cluster_migration_dropped_total", "Keys deleted by post-settle drop passes (no longer owned here).", nil,
 		c.migDropped.Load)

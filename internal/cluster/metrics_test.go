@@ -10,7 +10,8 @@ import (
 // TestClusterMetricsFamilies drives the failover machinery with the
 // registry attached and asserts the bd_cluster_* / bd_engine_* series
 // track it: down members, pending and replayed hints, read and write
-// failovers, engine counters — all collected without any scrape RPC.
+// failovers, engine counters, and a static membership change's data
+// movement — all collected without any scrape RPC.
 func TestClusterMetricsFamilies(t *testing.T) {
 	c, rem, id := failoverCluster(t, 2, 2)
 	defer c.Close()
@@ -73,6 +74,25 @@ func TestClusterMetricsFamilies(t *testing.T) {
 	}
 	if snap["bd_cluster_hints_replayed_total"].Float() == 0 {
 		t.Fatal("replayed hints not counted")
+	}
+
+	// A static membership change runs the migrator's passes, so it shows
+	// in the migration series like an elastic one and ends settled.
+	if _, _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	snap = reg.Snapshot()
+	for _, name := range []string{
+		"bd_cluster_migration_keys_total",
+		"bd_cluster_migration_bytes_total",
+		"bd_cluster_migration_dropped_total",
+	} {
+		if snap[name].Float() == 0 {
+			t.Fatalf("%s = 0 after an AddNode that moved data", name)
+		}
+	}
+	if snap["bd_cluster_settled"].Float() != 1 {
+		t.Fatalf("bd_cluster_settled = %v after AddNode returned, want 1", snap["bd_cluster_settled"])
 	}
 
 	var b strings.Builder

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,14 +12,23 @@ import (
 
 // This file moves data when ownership moves. Every epoch bump (a member
 // joined, left, or was declared dead) changes which members own which
-// keyranges; the migrator is the background loop that makes storage
-// catch up with the view, throttled so live traffic keeps its latency.
+// keyranges, and one pair of passes makes storage catch up with the
+// view: copyPass pushes each key to the owners it gained, dropPass
+// deletes it from the members that lost it — always in that order, so a
+// pass that stops half way leaves surplus copies, never a missing one.
+//
+// Two drivers run the passes. An elastic member runs them for its own
+// shard from the background loop below, beside live traffic, throttled
+// so that traffic keeps its latency. A static coordinator
+// (rebalance.go) runs them for every member of its ring, synchronously,
+// under the topology write lock AddNode/RemoveNode/AddRemote already
+// hold. What differs between them is what each hands its migPush.
 //
 // The protocol, per member, per unsettled epoch:
 //
-//  1. Copy pass. Snapshot-scan the local engine (so the source is
+//  1. Copy pass. Snapshot-scan the member's store (so the source is
 //     internally consistent even under live writes) and, for every key
-//     this member is the responsible pusher for — the first old owner
+//     the member is the responsible pusher for — the first old owner
 //     under the last settled view that is still eligible — push a copy
 //     to each owner the key gained under the current view, paced to
 //     Config.MigrateRate bytes/s. Copies are gathered per destination
@@ -40,6 +51,8 @@ import (
 // armed guard marks every locally written key, and a migration copy for
 // a marked key is skipped while holding the guard lock — so "copy then
 // newer write" and "newer write then copy" both leave the newer value.
+// Step 2 and the guard exist for live traffic only; the static driver
+// has none to race.
 
 // migrationGuard shadows migration copies with live writes for one
 // epoch. mark and the copy-side check serialize on mu: a live write
@@ -111,30 +124,23 @@ func (c *Cluster) migratorLoop(stop, kick <-chan struct{}, done chan<- struct{})
 // pass once the whole cluster has settled.
 func (c *Cluster) migrateStep() {
 	c.mu.RLock()
-	if c.closed || c.view == nil {
+	if c.closed {
 		c.mu.RUnlock()
 		return
 	}
 	v, base := c.view, c.lastSettled
 	drops := c.dropsDone
+	self, node := c.nodes[c.selfID], c.localNodeLocked()
 	c.mu.RUnlock()
 	row, ok := v.Member(c.selfID)
-	node := c.localNode()
 	if !ok || node == nil {
 		return
 	}
 	switch {
 	case row.Settled < v.Epoch:
-		if c.migStartEpoch.Load() < v.Epoch {
-			// Once per epoch, not per retry: an aborted pass re-enters
-			// here on the next tick.
-			c.migStartEpoch.Store(v.Epoch)
-			c.events.Record(obs.Event{
-				Kind: obs.EventMigrationStart, Epoch: v.Epoch,
-				Detail: fmt.Sprintf("copy pass toward epoch %d began", v.Epoch),
-			})
-		}
-		if !c.copyPass(v, base, node) {
+		c.noteMigrationStart(v.Epoch)
+		push := c.livePush(v.Epoch, c.cfg.MigrateRate)
+		if push.copyPass(self, v, base) != nil {
 			return // aborted (epoch moved, peer unreachable): retry next tick
 		}
 		c.redrive(v, node)
@@ -145,15 +151,29 @@ func (c *Cluster) migrateStep() {
 		// writes coordinated by members that still route on the old view.
 		c.redrive(v, node)
 	case drops < v.Epoch && row.Status != StatusLeaving && row.Status != StatusLeft:
-		c.dropPass(v, node)
+		push := c.livePush(v.Epoch, 0)
+		if push.dropPass(self, v) != nil {
+			return // retry next tick
+		}
+		c.mu.Lock()
+		if c.view.Epoch == v.Epoch && c.dropsDone < v.Epoch {
+			c.dropsDone = v.Epoch
+		}
+		c.mu.Unlock()
 	}
 }
 
-// localNode is localNodeLocked behind the read lock.
-func (c *Cluster) localNode() *Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.localNodeLocked()
+// noteMigrationStart records the epoch's migration-start event once, not
+// per retry: an aborted copy pass re-enters on the next tick (or the
+// next RemoveNode call).
+func (c *Cluster) noteMigrationStart(epoch uint64) {
+	if c.migStartEpoch.Load() < epoch {
+		c.migStartEpoch.Store(epoch)
+		c.events.Record(obs.Event{
+			Kind: obs.EventMigrationStart, Epoch: epoch,
+			Detail: fmt.Sprintf("copy pass toward epoch %d began", epoch),
+		})
+	}
 }
 
 // memberFor resolves a view member id to its dialed wrapper (nil while
@@ -170,15 +190,15 @@ func (c *Cluster) isClosed() bool {
 	return c.closed
 }
 
-// responsiblePusher reports whether this member must push the key: it is
+// responsiblePusher reports whether member src must push the key: it is
 // the first owner under the old (base) ownership that is still eligible
-// to push — self, or any peer the current view does not rule out
+// to push — src itself, or any peer the current view does not rule out
 // (Down and Left members cannot push; their share falls to the next old
 // owner). Deterministic, so each key is pushed by exactly one live
 // member.
-func (c *Cluster) responsiblePusher(v *ClusterView, oldOwners []int) bool {
+func responsiblePusher(src int, v *ClusterView, oldOwners []int) bool {
 	for _, id := range oldOwners {
-		if id == c.selfID {
+		if id == src {
 			return true
 		}
 		if row, ok := v.Member(id); ok && (row.Status <= StatusSuspect || row.Status == StatusLeaving) {
@@ -188,22 +208,52 @@ func (c *Cluster) responsiblePusher(v *ClusterView, oldOwners []int) bool {
 	return false
 }
 
-// migPush gathers the migration copies of one scan page per destination
-// and sends them as store-only chunks: one frame, one epoch check and one
-// throttle charge per chunk instead of per key.
+// migPush is one driver's run of the passes. It gathers the migration
+// copies of one scan page per destination and sends them as store-only
+// chunks: one frame, one epoch check and one throttle charge per chunk
+// instead of per key.
 type migPush struct {
 	c     *Cluster
-	epoch uint64
 	dests []migDest
+	// The driver's three answers (livePush beside traffic, rebalanceLocked
+	// under the topology lock). member resolves a destination id, nil while
+	// undialed. stale reports that the pass outlived its plan: the cluster
+	// closed or the epoch moved under it. deliver lands one chunk on m's
+	// own store; copies additionally yield to whatever guards the receiver
+	// has armed.
+	member  func(id int) *memberState
+	stale   func() bool
+	deliver func(m *memberState, ops []Op, copies bool) error
 	// rate > 0 paces delivered bytes against the clock started at start.
 	rate  int
 	sent  int
 	start time.Time
+	// report counts what the passes scanned, copied and dropped; err is
+	// the first delivery failure.
+	report MoveReport
+	err    error
 }
 
 type migDest struct {
 	id  int
 	ops []Op
+}
+
+var errUndialed = errors.New("member not dialed yet")
+
+// livePush is the elastic driver's migPush. Beside live traffic every
+// member lookup takes the topology lock briefly, a pass aborts when the
+// epoch moves, and chunks land as store-only applies fenced by the epoch
+// they were planned under (copies yield to the receiver's dirty-guard).
+// rate > 0 throttles the copies.
+func (c *Cluster) livePush(epoch uint64, rate int) migPush {
+	return migPush{c: c, rate: rate, start: time.Now(),
+		member: c.memberFor,
+		stale:  func() bool { return c.isClosed() || c.epoch.Load() != epoch },
+		deliver: func(m *memberState, ops []Op, copies bool) error {
+			return m.applyLocal(ops, copies, epoch)
+		},
+	}
 }
 
 // add queues one copy for member id.
@@ -225,10 +275,17 @@ func (p *migPush) flush() (failed []Op) {
 	chunk := p.c.cfg.MaxBatch
 	for i := range p.dests {
 		d := &p.dests[i]
-		tgt := p.c.memberFor(d.id)
+		tgt := p.member(d.id)
 		for ops := d.ops; len(ops) > 0; {
 			n := min(len(ops), chunk)
-			if tgt == nil || tgt.applyLocal(ops[:n], true, p.epoch) != nil {
+			err := errUndialed
+			if tgt != nil {
+				err = p.deliver(tgt, ops[:n], true)
+			}
+			if err != nil {
+				if p.err == nil {
+					p.err = fmt.Errorf("cluster: migration copy to member %d: %w", d.id, err)
+				}
 				failed = append(failed, ops...)
 				break
 			}
@@ -238,6 +295,8 @@ func (p *migPush) flush() (failed []Op) {
 			}
 			p.c.migKeys.Add(uint64(n))
 			p.c.migBytes.Add(uint64(bytes))
+			p.report.Copied += n
+			bump(&p.report.In, d.id, n)
 			p.sent += bytes
 			if p.rate > 0 {
 				// Throttle: sleep off any debt against the byte budget so
@@ -253,46 +312,51 @@ func (p *migPush) flush() (failed []Op) {
 	return failed
 }
 
-// copyPass pushes every key this member is responsible for to the owners
-// it gained under v, paced to Config.MigrateRate. Returns false when the
-// pass aborted — the epoch moved under it, a destination is not dialed
-// yet, or a push failed — in which case the next tick retries from the
-// top (pushes are idempotent PUT copies, so re-covering ground is safe).
-func (c *Cluster) copyPass(v, base *ClusterView, node *Node) bool {
-	r := v.R
-	if r <= 0 {
-		r = 1
-	}
-	oldRing := base.Ring()
-	newRing := v.Ring()
-	push := migPush{c: c, epoch: v.Epoch, rate: c.cfg.MigrateRate, start: time.Now()}
+// scanPage is how many entries the passes read per snapshot scan.
+const scanPage = 256
+
+// after advances cursor to the position strictly after key.
+func after(cursor, key []byte) []byte {
+	return append(append(cursor[:0], key...), 0)
+}
+
+// copyPass pushes every key src is the responsible pusher for to the
+// owners the key gained between base and v. A non-nil error means the
+// pass stopped early — the epoch moved under it, the scan failed, a
+// destination is not dialed yet, or a push failed. Pushes are idempotent
+// PUT copies, so a retry from the top re-covers ground safely.
+func (p *migPush) copyPass(src *memberState, v, base *ClusterView) error {
+	self := src.memberID()
+	oldRing, newRing := base.Ring(), v.Ring()
 	var cursor []byte
 	for {
-		if c.isClosed() || c.epoch.Load() != v.Epoch {
-			return false
+		if p.stale() {
+			return ErrWrongEpoch
 		}
-		entries, err := node.snapshotScan(nil, cursor, 256)
-		if err != nil || len(entries) == 0 {
-			return err == nil
+		entries, err := src.snapshotScan(nil, cursor, scanPage)
+		if err != nil {
+			return fmt.Errorf("cluster: migration scan of member %d: %w", self, err)
+		}
+		if len(entries) == 0 {
+			return nil
 		}
 		for i := range entries {
 			e := &entries[i]
-			oldOwners := oldRing.Owners(e.Key, r)
-			if !c.responsiblePusher(v, oldOwners) {
+			oldOwners := oldRing.Owners(e.Key, v.R)
+			if !responsiblePusher(self, v, oldOwners) {
 				continue
 			}
-			for _, id := range newRing.Owners(e.Key, r) {
-				if id == c.selfID || containsID(oldOwners, id) {
-					continue // the destination already holds a settled copy
+			p.report.Scanned++
+			for _, id := range newRing.Owners(e.Key, v.R) {
+				if !slices.Contains(oldOwners, id) { // else it already holds a settled copy
+					p.add(id, Op{Kind: OpPut, Key: e.Key, Value: e.Value})
 				}
-				push.add(id, Op{Kind: OpPut, Key: e.Key, Value: e.Value})
 			}
 		}
-		if len(push.flush()) > 0 {
-			return false // undialed or unreachable destination: retry next tick
+		if len(p.flush()) > 0 {
+			return p.err
 		}
-		cursor = append(cursor[:0], entries[len(entries)-1].Key...)
-		cursor = append(cursor, 0) // strictly after the last scanned key
+		cursor = after(cursor, entries[len(entries)-1].Key)
 	}
 }
 
@@ -307,15 +371,11 @@ func (c *Cluster) redrive(v *ClusterView, node *Node) {
 		return
 	}
 	keys := g.takePending()
-	r := v.R
-	if r <= 0 {
-		r = 1
-	}
 	ring := v.Ring()
-	push := migPush{c: c, epoch: v.Epoch}
+	push := c.livePush(v.Epoch, 0)
 	var requeue []string
 	for len(keys) > 0 {
-		page := keys[:min(len(keys), 256)]
+		page := keys[:min(len(keys), scanPage)]
 		keys = keys[len(page):]
 		for _, k := range page {
 			key := []byte(k)
@@ -325,7 +385,7 @@ func (c *Cluster) redrive(v *ClusterView, node *Node) {
 			} else if ok {
 				op = Op{Kind: OpPut, Key: key, Value: val}
 			}
-			for _, id := range ring.Owners(key, r) {
+			for _, id := range ring.Owners(key, v.R) {
 				if id != c.selfID {
 					push.add(id, op)
 				}
@@ -347,21 +407,12 @@ func (c *Cluster) redrive(v *ClusterView, node *Node) {
 // re-ran us; publishing a stale watermark is harmless (max-merge).
 func (c *Cluster) settleSelf(epoch uint64) {
 	c.mu.Lock()
-	if c.closed || c.view == nil || c.view.Epoch != epoch {
-		c.mu.Unlock()
-		return
-	}
 	row, ok := c.view.Member(c.selfID)
-	if !ok || row.Settled >= epoch {
+	if c.closed || c.view.Epoch != epoch || !ok || row.Settled >= epoch {
 		c.mu.Unlock()
 		return
 	}
-	row.Settled = epoch
-	c.events.Record(obs.Event{
-		Kind: obs.EventMigrationEnd, Epoch: epoch,
-		Detail: fmt.Sprintf("epoch %d settled locally: migrated copies durable", epoch),
-	})
-	c.commitViewLocked(c.view.withRow(row))
+	c.settleLocked(func(id int) bool { return id == c.selfID })
 	v := c.view
 	cb := c.cfg.OnViewChange
 	c.mu.Unlock()
@@ -370,50 +421,60 @@ func (c *Cluster) settleSelf(epoch uint64) {
 	}
 }
 
-// dropPass deletes keys this member no longer owns under v. It runs only
-// after the whole cluster settled the epoch — every gained owner holds
-// its copy, so the local one is surplus.
-func (c *Cluster) dropPass(v *ClusterView, node *Node) {
-	r := v.R
-	if r <= 0 {
-		r = 1
+// settleLocked raises Settled to the view epoch on every row this
+// process pushed for and commits the result: an elastic member's own row;
+// all of them on a static coordinator, which owns the only ring and runs
+// the copy pass on every member's behalf. Caller holds mu.
+func (c *Cluster) settleLocked(pushed func(id int) bool) {
+	v := c.view
+	rows := append([]MemberInfo(nil), v.Members...)
+	for i := range rows {
+		if pushed(rows[i].ID) {
+			rows[i].Settled = v.Epoch
+		}
 	}
-	ring := v.Ring()
-	var cursor []byte
-	for {
-		if c.isClosed() || c.epoch.Load() != v.Epoch {
-			return
-		}
-		entries, err := node.snapshotScan(nil, cursor, 256)
-		if err != nil {
-			return
-		}
-		if len(entries) == 0 {
-			break
-		}
-		for i := range entries {
-			e := &entries[i]
-			if !containsID(ring.Owners(e.Key, r), c.selfID) {
-				if err := node.directDelete(e.Key); err == nil {
-					c.migDropped.Add(1)
-				}
-			}
-		}
-		cursor = append(cursor[:0], entries[len(entries)-1].Key...)
-		cursor = append(cursor, 0)
-	}
-	c.mu.Lock()
-	if c.view != nil && c.view.Epoch == v.Epoch && c.dropsDone < v.Epoch {
-		c.dropsDone = v.Epoch
-	}
-	c.mu.Unlock()
+	c.events.Record(obs.Event{
+		Kind: obs.EventMigrationEnd, Epoch: v.Epoch,
+		Detail: fmt.Sprintf("epoch %d settled locally: migrated copies durable", v.Epoch),
+	})
+	c.commitViewLocked(newView(v.Epoch, v.R, v.VNodes, rows))
 }
 
-func containsID(ids []int, id int) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
+// dropPass deletes the keys src holds but no longer owns under v. It runs
+// only once the epoch has settled — every gained owner holds its copy, so
+// this one is surplus.
+func (p *migPush) dropPass(src *memberState, v *ClusterView) error {
+	self := src.memberID()
+	ring := v.Ring()
+	var cursor []byte
+	var dels []Op
+	for {
+		if p.stale() {
+			return ErrWrongEpoch
 		}
+		entries, err := src.snapshotScan(nil, cursor, scanPage)
+		if err != nil {
+			return fmt.Errorf("cluster: migration drop scan of member %d: %w", self, err)
+		}
+		if len(entries) == 0 {
+			return nil
+		}
+		dels = dels[:0]
+		for i := range entries {
+			if !slices.Contains(ring.Owners(entries[i].Key, v.R), self) {
+				dels = append(dels, Op{Kind: OpDelete, Key: entries[i].Key})
+			}
+		}
+		for ops := dels; len(ops) > 0; {
+			n := min(len(ops), p.c.cfg.MaxBatch)
+			if err := p.deliver(src, ops[:n], false); err != nil {
+				return fmt.Errorf("cluster: migration drop from member %d: %w", self, err)
+			}
+			p.c.migDropped.Add(uint64(n))
+			p.report.Dropped += n
+			bump(&p.report.Out, self, n)
+			ops = ops[n:]
+		}
+		cursor = after(cursor, entries[len(entries)-1].Key)
 	}
-	return false
 }

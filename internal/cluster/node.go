@@ -120,9 +120,9 @@ func (n *Node) run() {
 	}
 }
 
-// memberID, ping, directGet, directPut, directDelete, mirrorBatch and
-// snapshotScan are the in-process half of the member interface: engine
-// calls with no queue or wire in between.
+// memberID, ping, directGet, mirrorBatch and snapshotScan are the
+// in-process half of the member interface: engine calls with no queue or
+// wire in between.
 func (n *Node) memberID() int { return n.id }
 
 // ping answers liveness from memory: an in-process node is reachable
@@ -137,18 +137,6 @@ func (n *Node) ping() error {
 func (n *Node) directGet(key []byte) ([]byte, bool, error) {
 	v, ok := n.eng.Get(key)
 	return v, ok, nil
-}
-
-func (n *Node) directPut(key, value []byte) error {
-	n.markDirty(key)
-	n.eng.Put(key, value)
-	return nil
-}
-
-func (n *Node) directDelete(key []byte) error {
-	n.markDirty(key)
-	n.eng.Delete(key)
-	return nil
 }
 
 func (n *Node) mirrorBatch(ops []Op) error { return n.applyLocal(ops, false) }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -39,12 +41,14 @@ func TestRebalanceAddNodeDeterministic(t *testing.T) {
 		c := testCluster(4, 1)
 		want := fillCluster(c, n)
 
-		// Predict the move set from ring geometry alone.
-		c.mu.RLock()
-		old := c.ring.Clone()
-		next := c.ring.Clone()
-		c.mu.RUnlock()
-		next.Add(4) // New assigns ids sequentially, so the next id is 4
+		// Predict the move set from ring geometry alone. New assigns ids
+		// sequentially, so the next id is 4.
+		old, next := NewRing(0), NewRing(0)
+		for id := 0; id < 4; id++ {
+			old.Add(id)
+			next.Add(id)
+		}
+		next.Add(4)
 		predicted := 0
 		for k := range want {
 			if old.Primary([]byte(k)) != next.Primary([]byte(k)) {
@@ -114,16 +118,20 @@ func TestRebalanceReplicatedRoundTrip(t *testing.T) {
 	defer c.Close()
 	want := fillCluster(c, 1500)
 
-	countCopies := func(k string) int {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		copies := 0
-		for _, node := range c.nodes {
-			if _, ok, _ := node.directGet([]byte(k)); ok {
-				copies++
-			}
+	// placed holds the layout to the oracle: every key on exactly its two
+	// owners, and a scan that sees exactly one copy of each.
+	placed := func(when string) {
+		t.Helper()
+		if got := assertPlacement(t, memberStores(t, c), c.View().Ring(), 2); got != len(want) {
+			t.Fatalf("%d distinct keys stored after %s, want %d", got, when, len(want))
 		}
-		return copies
+		got, err := c.Scan(nil, len(want)+100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("scan sees %d keys after %s, want %d", len(got), when, len(want))
+		}
 	}
 
 	id, _, err := c.AddNode()
@@ -131,28 +139,87 @@ func TestRebalanceReplicatedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAll(t, c, want)
-	for k := range want {
-		if got := countCopies(k); got != 2 {
-			t.Fatalf("key %q has %d copies after add, want 2", k, got)
-		}
-	}
+	placed("add")
 	if _, err := c.RemoveNode(id); err != nil {
 		t.Fatal(err)
 	}
 	checkAll(t, c, want)
+	placed("remove")
+}
+
+// TestRebalanceUnderTraffic pins the static driver's lock discipline:
+// AddNode and RemoveNode run the shared migration passes while holding
+// the topology write lock, so a pass that took the lock again (memberFor,
+// isClosed — what the elastic driver calls) would deadlock right here.
+// Client traffic meanwhile parks on the lock instead of failing: no op
+// errors, and no key goes missing from under a reader.
+func TestRebalanceUnderTraffic(t *testing.T) {
+	c := testCluster(3, 2) // closed on the success path only: Close needs the lock a deadlock holds
+	want := fillCluster(c, 1500)
+	keys := make([][]byte, 0, len(want))
 	for k := range want {
-		if got := countCopies(k); got != 2 {
-			t.Fatalf("key %q has %d copies after remove, want 2", k, got)
+		keys = append(keys, []byte(k))
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 4 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Each goroutine overwrites its own stripe of the preloaded
+				// keys (same value: what is on trial is the lock, not write
+				// ordering), so every key exists throughout.
+				k := keys[i%len(keys)]
+				switch i / 4 % 3 {
+				case 0:
+					if err := c.Put(k, []byte(want[string(k)])); err != nil {
+						t.Errorf("Put(%q) during a membership change: %v", k, err)
+						return
+					}
+				case 1:
+					if _, ok := c.Get(k); !ok {
+						t.Errorf("Get(%q) missed during a membership change", k)
+						return
+					}
+				case 2:
+					if _, err := c.Scan(k, 20); err != nil {
+						t.Errorf("Scan(%q) during a membership change: %v", k, err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	changed := make(chan error, 1)
+	go func() {
+		id, _, err := c.AddNode()
+		if err == nil {
+			_, err = c.RemoveNode(id)
 		}
+		changed <- err
+	}()
+	select {
+	case err := <-changed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("AddNode+RemoveNode under traffic not done in 5s: a pass re-entered the topology lock")
 	}
-	// Scans still see exactly one copy of each key.
-	got, err := c.Scan(nil, len(want)+100)
-	if err != nil {
-		t.Fatal(err)
+	close(stop)
+	wg.Wait()
+	checkAll(t, c, want)
+	if got := assertPlacement(t, memberStores(t, c), c.View().Ring(), 2); got != len(want) {
+		t.Fatalf("%d distinct keys stored after the round trip, want %d", got, len(want))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("scan sees %d keys, want %d", len(got), len(want))
-	}
+	c.Close()
 }
 
 // TestRebalanceGrowsIntoReplication verifies that a cluster built with
@@ -168,27 +235,10 @@ func TestRebalanceGrowsIntoReplication(t *testing.T) {
 	}
 	checkAll(t, c, want)
 	c.Put([]byte("post-grow"), []byte("v"))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for k := range want {
-		copies := 0
-		for _, node := range c.nodes {
-			if _, ok, _ := node.directGet([]byte(k)); ok {
-				copies++
-			}
-		}
-		if copies != 2 {
-			t.Fatalf("pre-existing key %q has %d copies after growth, want 2", k, copies)
-		}
-	}
-	copies := 0
-	for _, node := range c.nodes {
-		if _, ok, _ := node.directGet([]byte("post-grow")); ok {
-			copies++
-		}
-	}
-	if copies != 2 {
-		t.Fatalf("new write has %d copies, want 2", copies)
+	// Pre-existing keys (via migration) and the new write both hold two
+	// copies: with two members and R=2, every key is on both.
+	if got := assertPlacement(t, memberStores(t, c), c.View().Ring(), 2); got != len(want)+1 {
+		t.Fatalf("%d distinct keys stored after growth, want %d", got, len(want)+1)
 	}
 }
 

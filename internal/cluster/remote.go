@@ -24,9 +24,6 @@ type Remote interface {
 	Ping() error
 	// Get serves a point read from the remote shard.
 	Get(key []byte) ([]byte, bool, error)
-	// Put and Delete apply single unqueued writes (rebalance traffic).
-	Put(key, value []byte) error
-	Delete(key []byte) error
 	// Scan returns up to limit entries with key >= start from a
 	// consistent snapshot of the remote shard.
 	Scan(start []byte, limit int) ([]engine.Entry, error)
@@ -35,7 +32,8 @@ type Remote interface {
 	// the results of the accepted portion. Results come back positionally
 	// with OpResult.Applied exactly as the remote set it: replicated
 	// writes mirror on that bit. Apply also carries replica mirror
-	// batches and hint replays to members that are not elastic peers.
+	// batches, hint replays and a membership change's copies and drops
+	// (rebalance.go) to members that are not elastic peers.
 	Apply(ops []Op) ([]OpResult, error)
 	TryApply(ops []Op) ([]OpResult, error)
 	// Close releases the proxy's resources (the remote server survives).
@@ -99,34 +97,36 @@ type localRemote interface {
 // It returns the ring id the coordinator assigned. The remote server is
 // treated as one member regardless of how many cluster nodes it hosts
 // internally. A non-nil error with a valid id reports an incomplete
-// migration (see migrateLocked).
+// migration (see rebalanceLocked).
 func (c *Cluster) AddRemote(r Remote) (int, MoveReport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return -1, MoveReport{}, ErrClosed
-	}
-	if c.elastic() {
-		return -1, MoveReport{}, errNotStatic
-	}
-	id := c.nextID
-	c.nextID++
-	old := c.ring.Clone()
-	rm := &remoteMember{id: id, r: r, spans: c.spans}
+	return c.join(func(id int) {
+		c.nodes[id] = c.wrapRemote(id, r, false, "")
+		// The first remote member starts the background health prober:
+		// local nodes cannot fail, remote ones now can.
+		c.startProberLocked()
+	})
+}
+
+// wrapRemote builds the member for a shard in another process: the proxy
+// with whatever optional capabilities r's transport has, under the
+// coordinator's health state. localMirror marks a peer dialed through
+// the elastic view at advertised address addr (see remoteMember); a
+// static remote has neither. The caller registers the result.
+func (c *Cluster) wrapRemote(id int, r Remote, localMirror bool, addr string) *memberState {
+	rm := &remoteMember{id: id, r: r, spans: c.spans, localMirror: localMirror}
 	rm.tr, _ = r.(tracedRemote)
 	rm.gr, _ = r.(gossipRemote)
 	rm.lr, _ = r.(localRemote)
-	ms := newMemberState(rm, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
-	ms.spans = c.spans
-	ms.events = c.events
-	c.nodes[id] = ms
-	c.ring.Add(id)
-	c.rebuildStaticViewLocked()
-	// The first remote member starts the background health prober:
-	// local nodes cannot fail, remote ones now can.
-	c.startProberLocked()
-	report, err := c.migrateLocked(old)
-	return id, report, err
+	if localMirror {
+		// Fence this connection from the first call: routed requests to an
+		// elastic peer carry our epoch, so a ring disagreement bounces at the
+		// peer's admission instead of being re-forwarded by its ring. A
+		// static remote is its own cluster with its own epochs and is never
+		// stamped.
+		rm.es, _ = r.(epochStamper)
+		rm.setEpoch(c.epoch.Load())
+	}
+	return c.wrapMember(rm, addr)
 }
 
 // remoteMember adapts a Remote to the member interface. Sub-batches
@@ -201,25 +201,9 @@ func (m *remoteMember) directGet(key []byte) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-func (m *remoteMember) directPut(key, value []byte) error {
-	err := m.r.Put(key, value)
-	if isTransportErr(err) {
-		m.transportErrs.Add(1)
-	}
-	return err
-}
-
-func (m *remoteMember) directDelete(key []byte) error {
-	err := m.r.Delete(key)
-	if isTransportErr(err) {
-		m.transportErrs.Add(1)
-	}
-	return err
-}
-
 // storeOnly sends one store-only batch (see localRemote). Transports
-// without the capability take it as a routed blocking batch — the
-// legacy coordinator owns the only ring, so nothing re-replicates.
+// without the capability take it as a routed blocking batch — a
+// static coordinator owns the only ring, so nothing re-replicates.
 func (m *remoteMember) storeOnly(ops []Op, migration bool, epoch uint64) error {
 	if m.lr != nil {
 		return m.lr.ApplyLocal(ops, migration, epoch)

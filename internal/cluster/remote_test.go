@@ -23,8 +23,6 @@ func (r *loopRemote) Get(key []byte) ([]byte, bool, error) {
 	v, ok := r.c.Get(key)
 	return v, ok, nil
 }
-func (r *loopRemote) Put(key, value []byte) error        { r.c.Put(key, value); return nil }
-func (r *loopRemote) Delete(key []byte) error            { r.c.Delete(key); return nil }
 func (r *loopRemote) Apply(ops []Op) ([]OpResult, error) { return r.c.Apply(ops) }
 func (r *loopRemote) TryApply(ops []Op) ([]OpResult, error) {
 	if r.overload {
@@ -242,37 +240,125 @@ func TestRemotePrimaryShedKeepsReplicasConsistent(t *testing.T) {
 	}
 }
 
-// failingRemote errors every RPC — a shard behind a dead transport.
-type failingRemote struct{ loopRemote }
-
 var errNetDown = errors.New("transport down")
-
-func (r *failingRemote) Scan(start []byte, limit int) ([]engine.Entry, error) {
-	return nil, errNetDown
-}
-func (r *failingRemote) Put(key, value []byte) error { return errNetDown }
 
 // TestMigrationSurfacesRemoteFailure pins that a membership change
 // whose data movement hits a dead transport reports the failure instead
-// of silently returning a clean MoveReport with keys left behind.
+// of silently returning a clean MoveReport with keys left behind — and
+// that what it leaves behind is the unsettled view the elastic protocol
+// already reads through: nothing was dropped, so every key stays
+// readable from its last settled owners until the change is resolved.
+// Writes are refused for exactly that long, because the static driver
+// arms no guard for them: accepted on the half-joined ring, they would be
+// overwritten or dropped by whichever change resolves it.
 func TestMigrationSurfacesRemoteFailure(t *testing.T) {
-	c := testCluster(2, 1)
-	defer c.Close()
-	fillCluster(c, 500)
-	dead := &failingRemote{}
-	dead.c = New(Config{Shards: 1, Engine: engine.Options{}})
-	if _, _, err := c.AddRemote(dead); !errors.Is(err, errNetDown) {
-		t.Fatalf("AddRemote with dead transport = %v, want errNetDown", err)
+	// failedJoin preloads two local shards and fails an AddRemote half way:
+	// the remote takes the first chunk of copies and dies on the second
+	// (chaosRemote fails the call the mover makes: Apply).
+	failedJoin := func(t *testing.T) (*Cluster, *chaosRemote, int, map[string]string) {
+		c := New(Config{Shards: 2, ProbeInterval: -1, Engine: engine.Options{MemtableBytes: 32 << 10}})
+		t.Cleanup(c.Close)
+		want := fillCluster(c, 500)
+		rem := newChaosRemote()
+		rem.dieAfter.Store(2)
+		id, report, err := c.AddRemote(rem)
+		if !errors.Is(err, errNetDown) {
+			t.Fatalf("AddRemote with dead transport = %v, want errNetDown", err)
+		}
+		if landed, _ := rem.c.Scan(nil, len(want)); len(landed) == 0 || len(landed) != report.Copied {
+			t.Fatalf("%d copies on the member, report says %d; want the join stopped half way", len(landed), report.Copied)
+		}
+		// The failure is audited on the member.
+		var transportErrs uint64
+		for _, ns := range c.Stats().Nodes {
+			transportErrs += ns.TransportErrs
+		}
+		if transportErrs == 0 {
+			t.Fatal("transport failures not surfaced in NodeStats.TransportErrs")
+		}
+		// The copies never landed, and the view says so.
+		if c.Settled() {
+			t.Fatal("view reads settled after a failed copy pass")
+		}
+		checkAll(t, c, want)
+		// The dead member sits on the ring with nothing behind it, so the scan
+		// may flag lost coverage — but it must still merge every key.
+		got, err := c.Scan(nil, len(want)+100)
+		if err != nil && !errors.Is(err, ErrScanIncomplete) {
+			t.Fatalf("scan over the half-joined ring: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("scan merged %d keys after the failed join, want %d", len(got), len(want))
+		}
+		for _, e := range got {
+			if want[string(e.Key)] != string(e.Value) {
+				t.Fatalf("scan returned %q = %q, want %q", e.Key, e.Value, want[string(e.Key)])
+			}
+		}
+		// Read-only until resolved, through every write entry point; a batch
+		// of reads still runs (k is a key the dead member did not take over:
+		// a batch, unlike Get, fails a key whose every current owner is down).
+		var k []byte
+		for key := range want {
+			if c.View().Ring().Primary([]byte(key)) != id {
+				k = []byte(key)
+				break
+			}
+		}
+		if err := c.Put(k, []byte("v2")); !errors.Is(err, ErrUnsettled) {
+			t.Fatalf("Put on the half-joined ring = %v, want ErrUnsettled", err)
+		}
+		if err := c.Delete(k); !errors.Is(err, ErrUnsettled) {
+			t.Fatalf("Delete on the half-joined ring = %v, want ErrUnsettled", err)
+		}
+		if _, err := c.Apply([]Op{{Kind: OpGet, Key: k}, {Kind: OpPut, Key: k, Value: []byte("v2")}}); !errors.Is(err, ErrUnsettled) {
+			t.Fatalf("Apply with a write on the half-joined ring = %v, want ErrUnsettled", err)
+		}
+		if res, err := c.Apply([]Op{{Kind: OpGet, Key: k}}); err != nil || string(res[0].Value) != want[string(k)] {
+			t.Fatalf("read-only Apply on the half-joined ring = %+v, %v", res, err)
+		}
+		return c, rem, id, want
 	}
-	// The failure is audited on the member.
-	st := c.Stats()
-	var transportErrs uint64
-	for _, ns := range st.Nodes {
-		transportErrs += ns.TransportErrs
+	// resolved checks the end state either resolution must reach: settled,
+	// nothing lost, writes accepted again and landing on exactly the owners
+	// the final ring names — a second generation of every key included.
+	resolved := func(t *testing.T, c *Cluster, want map[string]string) {
+		t.Helper()
+		if !c.Settled() {
+			t.Fatal("view still unsettled after the change was resolved")
+		}
+		checkAll(t, c, want)
+		for k := range want {
+			want[k] = "v2-" + k
+			if err := c.Put([]byte(k), []byte(want[k])); err != nil {
+				t.Fatalf("Put after the change was resolved: %v", err)
+			}
+		}
+		checkAll(t, c, want)
+		if got := assertPlacement(t, memberStores(t, c), c.View().Ring(), 1); got != len(want) {
+			t.Fatalf("%d distinct keys stored after the change was resolved, want %d", got, len(want))
+		}
 	}
-	if transportErrs == 0 {
-		t.Fatal("transport failures not surfaced in NodeStats.TransportErrs")
-	}
+	t.Run("BackOut", func(t *testing.T) {
+		// The dead member was never a source, so nothing needs to come off it.
+		c, _, id, want := failedJoin(t)
+		if _, err := c.RemoveNode(id); err != nil {
+			t.Fatalf("RemoveNode of the half-joined member: %v", err)
+		}
+		resolved(t, c, want)
+	})
+	t.Run("Complete", func(t *testing.T) {
+		// The transport recovers and the next change plans from the last
+		// settled layout again, which finishes the join along the way and
+		// clears what the first attempt left on the member.
+		c, rem, _, want := failedJoin(t)
+		rem.down.Store(false)
+		c.Probe() // the reads above marked the member down; the detector sees it back
+		if _, _, err := c.AddNode(); err != nil {
+			t.Fatalf("AddNode after the transport recovered: %v", err)
+		}
+		resolved(t, c, want)
+	})
 }
 
 // TestNewEmpty pins the no-members behavior.

@@ -299,7 +299,7 @@ func TestMigrationPushChunks(t *testing.T) {
 	g.mark([]byte("mig-03")) // a live write landed after the epoch began
 	dst.eng.Put([]byte("mig-03"), []byte("live"))
 
-	push := migPush{c: c, epoch: 1}
+	push := c.livePush(1, 0)
 	for i := 0; i < 10; i++ {
 		push.add(1, Op{Kind: OpPut, Key: []byte(fmt.Sprintf("mig-%02d", i)), Value: []byte("copy")})
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // Ring is a consistent-hash ring with virtual nodes. The zero value is not
-// usable; construct with NewRing. Ring itself is not synchronized — the
-// Cluster guards it with the topology lock and hands out copies for
-// planning.
+// usable; construct with NewRing. Ring itself is not synchronized: a
+// ClusterView builds its ring once and never mutates it again, so
+// membership changes derive a new view (and ring) instead of editing one.
 type Ring struct {
 	vnodes int
 	points []ringPoint // sorted by hash
@@ -62,21 +62,6 @@ func (r *Ring) Add(node int) {
 		}
 		return r.points[i].node < r.points[j].node
 	})
-}
-
-// Remove deletes a member's virtual nodes.
-func (r *Ring) Remove(node int) {
-	if !r.member[node] {
-		return
-	}
-	delete(r.member, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
 }
 
 // Size returns the member count.
@@ -149,15 +134,4 @@ func (r *Ring) AppendOwners(dst []int, key []byte, n int) []int {
 		}
 	}
 	return dst
-}
-
-// Clone returns an independent copy, used to plan membership changes
-// before committing them.
-func (r *Ring) Clone() *Ring {
-	c := &Ring{vnodes: r.vnodes, member: make(map[int]bool, len(r.member))}
-	c.points = append([]ringPoint(nil), r.points...)
-	for id := range r.member {
-		c.member[id] = true
-	}
-	return c
 }

@@ -97,27 +97,26 @@ func TestRingMinimalDisruption(t *testing.T) {
 	if moved < len(keys)/10 || moved > len(keys)/2 {
 		t.Fatalf("moved %d of %d keys on add, want ≈ %d", moved, len(keys), len(keys)/5)
 	}
-	// Removing the node restores the exact prior assignment.
-	r.Remove(4)
+	// Vnode placement is a function of the member id alone: a ring built
+	// without the node reproduces the exact prior assignment, which is what
+	// lets a view that retires a member's row undo the join.
+	without := NewRing(64)
+	for n := 0; n < 4; n++ {
+		without.Add(n)
+	}
 	for i, k := range keys {
-		if r.Primary(k) != before[i] {
-			t.Fatalf("key %q did not return to node %d after remove", k, before[i])
+		if without.Primary(k) != before[i] {
+			t.Fatalf("key %q not back on node %d once node 4 is gone", k, before[i])
 		}
 	}
 }
 
-func TestRingEmptyAndClone(t *testing.T) {
+func TestRingEmpty(t *testing.T) {
 	r := NewRing(16)
 	if r.Primary([]byte("k")) != -1 {
 		t.Fatal("empty ring must return -1")
 	}
 	if r.Owners([]byte("k"), 2) != nil {
 		t.Fatal("empty ring must return no owners")
-	}
-	r.Add(7)
-	c := r.Clone()
-	c.Remove(7)
-	if r.Size() != 1 || c.Size() != 0 {
-		t.Fatalf("clone not independent: r=%d c=%d", r.Size(), c.Size())
 	}
 }

@@ -86,8 +86,8 @@ type MemberInfo struct {
 	// advertised address (MemberIDForAddr), so every process computes
 	// the identical ring from the same view without coordination.
 	ID int
-	// Addr is the member's advertised transport address; empty for
-	// in-process members of a non-elastic cluster.
+	// Addr is the member's advertised transport address; empty for the
+	// members of a static cluster, local or remote.
 	Addr string
 	// Status is the current health verdict; see MemberStatus.
 	Status MemberStatus
@@ -161,6 +161,19 @@ func (v *ClusterView) AllSettled() bool { return v.settled }
 // Ring returns the ownership ring derived from the view. Callers must
 // treat it as read-only.
 func (v *ClusterView) Ring() *Ring { return v.ring }
+
+// ringUnion returns the members on v's ring followed by those only on
+// base's: everyone who may hold a copy of some key while v's migration
+// from base is in flight.
+func ringUnion(v, base *ClusterView) []int {
+	ids := v.ring.Members()
+	for _, id := range base.ring.Members() {
+		if !v.ring.Contains(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
 
 // Member returns the row for id.
 func (v *ClusterView) Member(id int) (MemberInfo, bool) {
