@@ -80,3 +80,34 @@ func TestReplicatedApplyAllocBudget(t *testing.T) {
 	}
 	measure("remote leads", remote, engines+4+2+2)
 }
+
+// TestScanAllocBudget pins a 100-row AppendScan over two in-process
+// shards into a reused dst. The engines hand out their rows without
+// copying, the partial buffers come from the pooled scatter and the
+// first leg runs on the caller, so two allocations are left: the ring's
+// member list and the second leg's goroutine start. Two allocations of
+// headroom; a per-row copy costs a hundred.
+func TestScanAllocBudget(t *testing.T) {
+	c := New(Config{Shards: 2})
+	defer c.Close()
+	const rows = 100
+	for i := 0; i < 2*rows; i++ {
+		if err := c.Put(fmt.Appendf(nil, "scan-%03d", i), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]engine.Entry, 0, rows)
+	scan := func() {
+		out, err := c.AppendScan(dst[:0], nil, rows)
+		if err != nil || len(out) != rows {
+			t.Fatalf("scan: %d rows, %v", len(out), err)
+		}
+		dst = out
+	}
+	for i := 0; i < 64; i++ { // warm the scatter pool
+		scan()
+	}
+	if got := testing.AllocsPerRun(200, scan); got > 2+2 {
+		t.Errorf("AppendScan: %.1f allocs per 100-row two-shard scan, want <= %d", got, 2+2)
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -598,10 +599,12 @@ func (c *Cluster) fallbackReads(ops []Op, results []OpResult) {
 	}
 }
 
-// Scan scatter-gathers a bounded ordered scan: every node scans a
-// snapshot of its own engine (so each partial is internally consistent
+// Scan scatter-gathers a bounded ordered scan: every node scans its own
+// engine at one point in time (so each partial is internally consistent
 // even mid-flush), and the coordinator k-way merges the partial results,
-// deduping the copies replication leaves on successor nodes.
+// deduping the copies replication leaves on successor nodes. Returned
+// entries alias engine records or transport page arenas and are
+// read-only (DESIGN.md §12).
 //
 // Failed or down members contribute no partial. As long as fewer
 // members failed than the replication factor, every keyrange retains at
@@ -616,7 +619,8 @@ func (c *Cluster) Scan(start []byte, limit int) ([]engine.Entry, error) {
 
 // AppendScan is Scan appending the merged result into dst (reusing its
 // capacity) — the allocation-free form for callers recycling scan
-// buffers, like the transport server's dispatch scratch.
+// buffers, like the transport server's dispatch scratch. On error the
+// result still starts with dst's own entries.
 //
 // The scatter runs without the topology lock and pins the view epoch it
 // planned under: a membership change that commits mid-scatter (a
@@ -667,38 +671,36 @@ func (c *Cluster) scanOnce(dst []engine.Entry, start []byte, limit int) (merged 
 		// scan the union of both member sets (the merge dedups).
 		ids = ringUnion(c.view, c.lastSettled)
 	}
-	members := make([]*memberState, len(ids))
+	sc := scatterPool.Get().(*scatter)
+	defer sc.release()
+	sc.grow(len(ids))
 	for i, id := range ids {
-		members[i] = c.nodes[id]
+		sc.members[i] = c.nodes[id]
 	}
 	effR := c.cfg.Replication
 	c.mu.RUnlock()
 
-	parts := make([][]engine.Entry, len(members))
-	failed := make([]bool, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		if m == nil || m.isDown() {
-			failed[i] = true
-			continue
+	merged = dst
+	switch {
+	case len(ids) == 1:
+		// One member — every shard server's one-shard backend: its
+		// partial is the result, so it scans straight into dst.
+		merged, sc.failed[0] = scanLeg(sc.members[0], dst, start, limit)
+	case len(ids) > 1:
+		// The calling goroutine runs the first leg itself.
+		for i := 1; i < len(ids); i++ {
+			sc.wg.Add(1)
+			go sc.goLeg(i, start, limit)
 		}
-		wg.Add(1)
-		go func(i int, m *memberState) {
-			defer wg.Done()
-			var err error
-			parts[i], err = m.snapshotScan(nil, start, limit)
-			if err != nil {
-				failed[i] = true
-			}
-		}(i, m)
+		sc.leg(0, start, limit)
+		sc.wg.Wait()
+		merged = sc.merge(dst, limit)
 	}
-	wg.Wait()
 	if c.epoch.Load() != epoch {
 		return dst, true, nil // ownership moved under the scatter: re-plan
 	}
-	merged = mergeEntries(dst, parts, limit)
 	nfailed := 0
-	for _, f := range failed {
+	for _, f := range sc.failed {
 		if f {
 			nfailed++
 		}
@@ -719,11 +721,76 @@ func (c *Cluster) scanOnce(dst []engine.Entry, start []byte, limit int) (merged 
 		nfailed, len(ids), effR, ErrScanIncomplete)
 }
 
-// mergeEntries k-way merges sorted partials into the first limit distinct
+// scatter is one scan attempt's per-member state, pooled across scans:
+// the members planned, each leg's partial buffer and outcome, and the
+// merge cursors.
+type scatter struct {
+	wg      sync.WaitGroup
+	members []*memberState
+	parts   [][]engine.Entry
+	failed  []bool
+	idx     []int
+}
+
+var scatterPool = sync.Pool{New: func() any { return new(scatter) }}
+
+// maxPooledPart caps the partial buffers a scatter keeps for reuse: a
+// full-range scan's partial goes to the garbage collector instead of
+// pinning its header array in the pool.
+const maxPooledPart = 1024
+
+// grow sizes the scatter for n members.
+func (sc *scatter) grow(n int) {
+	sc.members = slices.Grow(sc.members[:0], n)[:n]
+	sc.parts = slices.Grow(sc.parts[:0], n)[:n]
+	sc.failed = slices.Grow(sc.failed[:0], n)[:n]
+	sc.idx = slices.Grow(sc.idx[:0], n)[:n]
+}
+
+// release clears the scatter and returns it to the pool. Partial
+// entries alias engine records or client page arenas, so every slot is
+// zeroed: a pooled entry would keep a superseded record, or a remote
+// page's whole arena, reachable for as long as it sits in the pool.
+func (sc *scatter) release() {
+	clear(sc.members)
+	for i, p := range sc.parts {
+		clear(p)
+		if cap(p) > maxPooledPart {
+			p = nil
+		}
+		sc.parts[i] = p[:0]
+	}
+	clear(sc.failed)
+	clear(sc.idx)
+	scatterPool.Put(sc)
+}
+
+// scanLeg scans member m into dst; failed reports a down member or a
+// failed scan (which leaves dst as it was).
+func scanLeg(m *memberState, dst []engine.Entry, start []byte, limit int) (out []engine.Entry, failed bool) {
+	if m == nil || m.isDown() {
+		return dst, true
+	}
+	out, err := m.snapshotScan(dst, start, limit)
+	return out, err != nil
+}
+
+// leg scans member i into its partial buffer.
+func (sc *scatter) leg(i int, start []byte, limit int) {
+	sc.parts[i], sc.failed[i] = scanLeg(sc.members[i], sc.parts[i][:0], start, limit)
+}
+
+// goLeg is leg on its own goroutine.
+func (sc *scatter) goLeg(i int, start []byte, limit int) {
+	defer sc.wg.Done()
+	sc.leg(i, start, limit)
+}
+
+// merge k-way merges the sorted partials into the first limit distinct
 // keys (replicas carry identical values, so the first copy wins),
 // appending to dst.
-func mergeEntries(dst []engine.Entry, parts [][]engine.Entry, limit int) []engine.Entry {
-	idx := make([]int, len(parts))
+func (sc *scatter) merge(dst []engine.Entry, limit int) []engine.Entry {
+	parts, idx := sc.parts, sc.idx
 	out, base := dst, len(dst)
 	for len(out)-base < limit {
 		best := -1

@@ -54,11 +54,11 @@ func (r *chaosRemote) Get(key []byte) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-func (r *chaosRemote) Scan(start []byte, limit int) ([]engine.Entry, error) {
+func (r *chaosRemote) AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
 	if err := r.rpc(); err != nil {
-		return nil, err
+		return nil, err // remoteMember must keep the caller's dst regardless
 	}
-	return r.c.Scan(start, limit)
+	return r.c.AppendScan(dst, start, limit)
 }
 
 func (r *chaosRemote) Apply(ops []Op) ([]OpResult, error) {
@@ -167,6 +167,35 @@ func TestScanSurfacesLostCoverage(t *testing.T) {
 	got, err = c.Scan(nil, 1000)
 	if err != nil || len(got) != 600 {
 		t.Fatalf("post-recovery scan = %d entries, %v", len(got), err)
+	}
+}
+
+// TestScanFailureKeepsCallerPrefix pins what a failed scan hands back
+// when its only member is remote: members append into the caller's dst,
+// so a failed leg must return that dst — not nil, which would drop the
+// entries the caller passed in. The remote here answers a failed call
+// with nil, as a Remote is free to.
+func TestScanFailureKeepsCallerPrefix(t *testing.T) {
+	c := NewEmpty(Config{ProbeInterval: -1, ProbeFailures: 3})
+	defer c.Close()
+	rem := newChaosRemote()
+	if _, _, err := c.AddRemote(rem); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		k := []byte(fmt.Sprintf("fo-%05d", i))
+		if err := c.Put(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prefix := engine.Entry{Key: []byte("caller"), Value: []byte("prefix")}
+	rem.down.Store(true)
+	got, err := c.AppendScan([]engine.Entry{prefix}, nil, 10)
+	if !errors.Is(err, ErrScanIncomplete) {
+		t.Fatalf("scan of a failing only member = %v, want ErrScanIncomplete", err)
+	}
+	if len(got) != 1 || !bytes.Equal(got[0].Key, prefix.Key) {
+		t.Fatalf("failed scan returned %d entries %v, want the caller's one-entry prefix", len(got), got)
 	}
 }
 

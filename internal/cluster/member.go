@@ -44,11 +44,13 @@ type member interface {
 	// primary. Failures land on the request (request.fail); the last act
 	// is req.done.Done().
 	execute(req *request, try bool)
-	// snapshotScan returns up to limit entries with key >= start from a
-	// consistent point-in-time view of the shard, appending to dst
-	// (which may be nil) so scatter-gather callers can reuse partial
-	// buffers. The error is always nil for local nodes; remote members
-	// surface transport failures so migration never mistakes a lost
+	// snapshotScan appends to dst (which may be nil) up to limit entries
+	// with key >= start from a consistent point-in-time view of the
+	// shard, so scatter-gather callers can reuse partial buffers. Entries
+	// alias engine records (local) or a per-page arena (remote); either
+	// way they are read-only. The error is always nil for local nodes;
+	// remote members surface transport failures — returning dst itself,
+	// so a caller's prefix survives — so migration never mistakes a lost
 	// shard for an empty one.
 	snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error)
 	// submit enqueues a sub-batch with backpressure; trySubmit sheds

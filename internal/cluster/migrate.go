@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -329,11 +330,13 @@ func (p *migPush) copyPass(src *memberState, v, base *ClusterView) error {
 	self := src.memberID()
 	oldRing, newRing := base.Ring(), v.Ring()
 	var cursor []byte
+	var entries []engine.Entry // one page, reused; the pushes keep only the bytes
 	for {
 		if p.stale() {
 			return ErrWrongEpoch
 		}
-		entries, err := src.snapshotScan(nil, cursor, scanPage)
+		var err error
+		entries, err = src.snapshotScan(entries[:0], cursor, scanPage)
 		if err != nil {
 			return fmt.Errorf("cluster: migration scan of member %d: %w", self, err)
 		}
@@ -447,12 +450,14 @@ func (p *migPush) dropPass(src *memberState, v *ClusterView) error {
 	self := src.memberID()
 	ring := v.Ring()
 	var cursor []byte
+	var entries []engine.Entry // one page, reused
 	var dels []Op
 	for {
 		if p.stale() {
 			return ErrWrongEpoch
 		}
-		entries, err := src.snapshotScan(nil, cursor, scanPage)
+		var err error
+		entries, err = src.snapshotScan(entries[:0], cursor, scanPage)
 		if err != nil {
 			return fmt.Errorf("cluster: migration drop scan of member %d: %w", self, err)
 		}

@@ -203,10 +203,11 @@ func (n *Node) applyLocal(ops []Op, migration bool) error {
 	return nil
 }
 
+// snapshotScan is the engine's own scan: already point-in-time and
+// lock-free, where a Snapshot would first queue behind the engine's
+// writer lock — and so behind any flush or compaction holding it.
 func (n *Node) snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
-	sn := n.eng.Snapshot()
-	defer sn.Release()
-	return sn.AppendScan(dst, start, limit), nil
+	return n.eng.AppendScan(dst, start, limit), nil
 }
 
 // execute applies one sub-batch against the engine in order — reads one

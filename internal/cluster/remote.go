@@ -24,9 +24,11 @@ type Remote interface {
 	Ping() error
 	// Get serves a point read from the remote shard.
 	Get(key []byte) ([]byte, bool, error)
-	// Scan returns up to limit entries with key >= start from a
-	// consistent snapshot of the remote shard.
-	Scan(start []byte, limit int) ([]engine.Entry, error)
+	// AppendScan appends to dst up to limit entries with key >= start
+	// from a consistent snapshot of the remote shard (the result of a
+	// failed call is ignored). Appended entries are the caller's to keep
+	// and must not alias transport buffers the implementation recycles.
+	AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error)
 	// Apply executes a batch with backpressure; TryApply under admission
 	// control — a shed batch surfaces ErrOverload, possibly alongside
 	// the results of the accepted portion. Results come back positionally
@@ -243,17 +245,14 @@ func (m *remoteMember) mirrorBatch(ops []Op) error {
 }
 
 func (m *remoteMember) snapshotScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
-	entries, err := m.r.Scan(start, limit)
+	out, err := m.r.AppendScan(dst, start, limit)
 	if err != nil {
 		if isTransportErr(err) {
 			m.transportErrs.Add(1)
 		}
-		return nil, err
+		return dst, err
 	}
-	if dst == nil {
-		return entries, nil
-	}
-	return append(dst, entries...), nil
+	return out, nil
 }
 
 func (m *remoteMember) submit(req *request) error {

@@ -30,8 +30,8 @@ func (r *loopRemote) TryApply(ops []Op) ([]OpResult, error) {
 	}
 	return r.c.TryApply(ops)
 }
-func (r *loopRemote) Scan(start []byte, limit int) ([]engine.Entry, error) {
-	return r.c.Scan(start, limit)
+func (r *loopRemote) AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
+	return r.c.AppendScan(dst, start, limit)
 }
 func (r *loopRemote) Close() error { r.c.Close(); return nil }
 

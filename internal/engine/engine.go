@@ -29,6 +29,13 @@ type (
 
 // Engine is a single-node storage engine. Implementations must be safe
 // for concurrent use.
+//
+// The read contract: bytes a read returns — a Get value, a Scan entry's
+// key and value — may alias the engine's stored records. Callers treat
+// them as read-only and may keep them indefinitely; an engine therefore
+// never edits a published record in place, and copies what it is handed
+// on the way in (Put, Delete, WriteBatch), so callers may reuse their
+// buffers once a write returns.
 type Engine interface {
 	// Get returns the value for key.
 	Get(key []byte) ([]byte, bool)
@@ -39,10 +46,13 @@ type Engine interface {
 	// WriteBatch applies a group of writes as one unit (group commit).
 	WriteBatch(ops []BatchOp)
 	// Scan returns up to limit live entries with key >= start, in key
-	// order.
+	// order, from one point-in-time view: never half a WriteBatch or a
+	// write that lands mid-iteration.
 	Scan(start []byte, limit int) []Entry
 	// AppendScan is Scan appending into dst (reusing its capacity) —
-	// the allocation-free form for callers holding a scratch buffer.
+	// the allocation-free form for callers holding a scratch buffer. A
+	// caller that pools dst clears its entries before recycling it: they
+	// alias stored records, and a pooled header would keep them reachable.
 	AppendScan(dst []Entry, start []byte, limit int) []Entry
 	// Snapshot pins a consistent point-in-time read view.
 	Snapshot() Snapshot
@@ -54,7 +64,8 @@ type Engine interface {
 
 // Snapshot is a consistent read-only view of an engine at one point in
 // time: reads resolve exactly the writes that completed before the
-// snapshot was taken.
+// snapshot was taken. Its reads follow Engine's read contract: the
+// returned bytes may alias stored records and stay valid after Release.
 type Snapshot interface {
 	Get(key []byte) ([]byte, bool)
 	Scan(start []byte, limit int) []Entry

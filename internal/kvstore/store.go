@@ -14,6 +14,7 @@ package kvstore
 import (
 	"bytes"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -217,9 +218,13 @@ func (s *Store) write(key, value []byte, tomb bool) {
 // that are not yet visible (and drop the older chain versions readers
 // below the horizon still need); callers flush after advancing the
 // horizon. Caller holds writeMu.
+//
+// The stored copies are clipped to their length: reads hand them out
+// without copying, and a reader's append must reallocate rather than
+// write into spare capacity other readers share.
 func (s *Store) applyLocked(key, value []byte, tomb bool) {
-	k := append([]byte(nil), key...)
-	v := append([]byte(nil), value...)
+	k := slices.Clip(append([]byte(nil), key...))
+	v := slices.Clip(append([]byte(nil), value...))
 	if tomb {
 		s.ct.deletes.Add(1)
 	} else {
@@ -413,30 +418,77 @@ func (s *Store) probeRun(t *sstable, key []byte) (val []byte, found, dead bool) 
 // order. Like Get it pins one version and the visibility horizon at
 // entry, so a scan is point-in-time: it never observes a torn run set,
 // half a WriteBatch, or writes that land mid-iteration.
+//
+// Returned keys and values alias the store's immutable records, under
+// Get's zero-copy read contract: read-only, valid indefinitely.
 func (s *Store) Scan(start []byte, limit int) []Entry {
-	v := s.cur.Load()
-	return s.scanAt(nil, v, s.visible.Load(), start, limit)
+	return s.AppendScan(nil, start, limit)
 }
 
 // AppendScan is Scan appending into dst (reusing its capacity): the
 // allocation-free form for callers that hold a scratch entry buffer.
-// Appended keys and values are still fresh copies — only the slice
-// headers reuse dst.
+// Like Scan's, the appended keys and values alias stored records; a
+// caller that pools dst clears the entries before recycling it, or the
+// pooled entries keep superseded records reachable.
 func (s *Store) AppendScan(dst []Entry, start []byte, limit int) []Entry {
 	v := s.cur.Load()
 	return s.scanAt(dst, v, s.visible.Load(), start, limit)
 }
 
-// scanCursor walks one sorted source (memtable or run) emitting rows
-// visible at the pinned sequence.
+// scanCursor walks one sorted source of a pinned version, emitting rows
+// visible at the scan's sequence horizon: the memtable when t is nil,
+// else run t.
 type scanCursor struct {
-	cur  row
-	ok   bool
-	next func() (row, bool)
+	cur row
+	ok  bool
+
+	node *skipNode // memtable position
+	seq  uint64    // memtable visibility horizon
+
+	t         *sstable // run source
+	pos       int
+	lastBlock int
+}
+
+// advance loads the cursor's next row into cur, or clears ok.
+func (c *scanCursor) advance(s *Store) {
+	if c.t == nil {
+		for c.node != nil {
+			n := c.node
+			rec := n.resolve(c.seq)
+			c.node = n.next[0].Load()
+			if rec == nil {
+				continue // written after the snapshot horizon
+			}
+			// Skiplist nodes are heap-scattered.
+			if s.cpu != nil {
+				s.cpu.LoadR(s.memRegion, s.nextRand()%s.memRegion.Size, len(n.key)+len(rec.val)+16)
+			}
+			c.cur, c.ok = row{key: n.key, val: rec.val, seq: rec.seq, tomb: rec.tomb}, true
+			return
+		}
+		c.ok = false
+		return
+	}
+	if c.pos >= len(c.t.rows) {
+		c.ok = false
+		return
+	}
+	// Sequential block reads through the cache at the cursor.
+	if b := c.pos / blockRows; b != c.lastBlock {
+		c.lastBlock = b
+		s.readBlock(c.t, b)
+	}
+	s.cpu.IntOps(8)
+	s.cpu.Branches(2)
+	c.cur, c.ok = c.t.rows[c.pos], true
+	c.pos++
 }
 
 // scanAt merges every source of a pinned version at a sequence horizon,
-// appending up to limit entries to dst.
+// appending up to limit entries to dst. The entries alias memtable
+// records and run rows, which are never edited after publication, so
+// nothing is copied on the way out.
 func (s *Store) scanAt(dst []Entry, v *version, seq uint64, start []byte, limit int) []Entry {
 	s.ct.scans.Add(1)
 	s.cpu.Code(s.scanCode, s.codeOff(s.scanCode), 640)
@@ -444,58 +496,26 @@ func (s *Store) scanAt(dst []Entry, v *version, seq uint64, start []byte, limit 
 	s.cpu.Branches(120)
 	s.cpu.FPOps(1)
 
-	var cs []*scanCursor
-	// Memtable cursor. Skiplist nodes are heap-scattered.
-	node := v.mem.seek(start)
-	memNext := func() (row, bool) {
-		for node != nil {
-			rec := node.resolve(seq)
-			n := node
-			node = node.next[0].Load()
-			if rec == nil {
-				continue // written after the snapshot horizon
-			}
-			if s.cpu != nil {
-				s.cpu.LoadR(s.memRegion, s.nextRand()%s.memRegion.Size, len(n.key)+len(rec.val)+16)
-			}
-			return row{key: n.key, val: rec.val, seq: rec.seq, tomb: rec.tomb}, true
-		}
-		return row{}, false
-	}
-	cs = append(cs, &scanCursor{next: memNext})
+	// A store rarely holds more runs than this; past it the cursors spill
+	// to the heap.
+	var stack [16]scanCursor
+	cs := append(stack[:0], scanCursor{node: v.mem.seek(start), seq: seq})
 	for _, level := range v.levels {
 		for _, t := range level {
-			tt := t
-			pos := t.seek(start)
 			// The seek itself binary-searches the run's block index.
-			s.chargeProbes(tt.region, 5, 24)
-			lastBlock := -1
-			n := func() (row, bool) {
-				if pos >= len(tt.rows) {
-					return row{}, false
-				}
-				r := tt.rows[pos]
-				// Sequential block reads through the cache at the cursor.
-				if b := pos / blockRows; b != lastBlock {
-					lastBlock = b
-					s.readBlock(tt, b)
-				}
-				s.cpu.IntOps(8)
-				s.cpu.Branches(2)
-				pos++
-				return r, true
-			}
-			cs = append(cs, &scanCursor{next: n})
+			s.chargeProbes(t.region, 5, 24)
+			cs = append(cs, scanCursor{t: t, pos: t.seek(start), lastBlock: -1})
 		}
 	}
-	for _, c := range cs {
-		c.cur, c.ok = c.next()
+	for i := range cs {
+		cs[i].advance(s)
 	}
 	out, base := dst, len(dst)
 	scanned := 0
 	for len(out)-base < limit {
 		best := -1
-		for i, c := range cs {
+		for i := range cs {
+			c := &cs[i]
 			if !c.ok {
 				continue
 			}
@@ -509,21 +529,16 @@ func (s *Store) scanAt(dst []Entry, v *version, seq uint64, start []byte, limit 
 			break
 		}
 		r := cs[best].cur
-		key := r.key
 		// Advance every cursor past this key (older sequences lose).
-		for _, c := range cs {
-			for c.ok && bytes.Equal(c.cur.key, key) {
-				c.cur, c.ok = c.next()
+		for i := range cs {
+			for c := &cs[i]; c.ok && bytes.Equal(c.cur.key, r.key); c.advance(s) {
 				scanned++
 			}
 		}
 		if r.tomb {
 			continue
 		}
-		out = append(out, Entry{
-			Key:   append([]byte(nil), key...),
-			Value: append([]byte(nil), r.val...),
-		})
+		out = append(out, Entry{Key: r.key, Value: r.val})
 		s.cpu.IntOps(55)
 		s.cpu.Branches(12)
 		s.cpu.FPOps(1)
@@ -558,12 +573,14 @@ func (sn *Snapshot) Get(key []byte) ([]byte, bool) {
 	return sn.s.getAt(sn.v, sn.seq, key)
 }
 
-// Scan returns up to limit live entries as of the snapshot.
+// Scan returns up to limit live entries as of the snapshot. The entries
+// alias stored records, as Store.Scan's do.
 func (sn *Snapshot) Scan(start []byte, limit int) []Entry {
 	return sn.s.scanAt(nil, sn.v, sn.seq, start, limit)
 }
 
-// AppendScan is Scan appending into dst (reusing its capacity).
+// AppendScan is Scan appending into dst (reusing its capacity), with
+// Store.AppendScan's aliasing.
 func (sn *Snapshot) AppendScan(dst []Entry, start []byte, limit int) []Entry {
 	return sn.s.scanAt(dst, sn.v, sn.seq, start, limit)
 }

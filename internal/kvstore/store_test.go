@@ -229,6 +229,78 @@ func TestScanOrderedAndBounded(t *testing.T) {
 	}
 }
 
+// TestScanReadContract pins the zero-copy read contract for scans under
+// both policies: rows from AppendScan and Snapshot.AppendScan alias
+// stored records, so they must stay byte-identical after every key is
+// overwritten and deleted and the store has flushed and compacted the
+// records away. The writes go through one reused buffer, which also
+// checks that Put copies on insert. A row's spare capacity must not be
+// writable, or two readers appending to shared rows would race.
+func TestScanReadContract(t *testing.T) {
+	for _, pol := range []CompactionPolicy{SizeTiered, Leveled} {
+		t.Run(pol.String(), func(t *testing.T) {
+			s := Open(Options{MemtableBytes: 1024, MaxRuns: 2, Compaction: pol})
+			const n = 300
+			var buf []byte
+			put := func(i int, v string) {
+				buf = fmt.Appendf(buf[:0], "%s-%d", v, i)
+				s.Put(key(i), buf)
+			}
+			for i := 0; i < n; i++ {
+				put(i, "first")
+				if i == n/2 {
+					s.Flush() // the scans read runs and the memtable
+				}
+			}
+
+			prefix := Entry{Key: []byte("prefix"), Value: []byte("kept")}
+			live := s.AppendScan([]Entry{prefix}, nil, n)
+			sn := s.Snapshot()
+			snap := sn.AppendScan(nil, key(0), n)
+			sn.Release()
+			if len(live) != n+1 || !bytes.Equal(live[0].Key, prefix.Key) || len(snap) != n {
+				t.Fatalf("scans returned %d and %d rows, want %d (+ prefix) and %d", len(live), len(snap), n, n)
+			}
+			for _, e := range live[1:] {
+				if cap(e.Key) != len(e.Key) || cap(e.Value) != len(e.Value) {
+					t.Fatalf("row %s: spare capacity exposed (key %d/%d, value %d/%d)",
+						e.Key, len(e.Key), cap(e.Key), len(e.Value), cap(e.Value))
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					want := fmt.Sprintf("first-%d", i)
+					for _, e := range []Entry{live[i+1], snap[i]} {
+						if !bytes.Equal(e.Key, key(i)) || string(e.Value) != want {
+							t.Fatalf("%s: row %d = %q=%q, want %q=%q", when, i, e.Key, e.Value, key(i), want)
+						}
+					}
+				}
+			}
+			check("after scan")
+
+			compactions := s.Stats().Compactions
+			for i := 0; i < n; i++ {
+				put(i, "second-and-longer")
+			}
+			s.Flush()
+			for i := 0; i < n; i++ {
+				s.Delete(key(i))
+			}
+			s.Flush()
+			for round := 0; s.Stats().Compactions == compactions; round++ {
+				if round == 10 {
+					t.Fatal("no compaction after overwriting and deleting every key")
+				}
+				put(round, "filler")
+				s.Flush()
+			}
+			check("after overwrite, delete, flush and compaction")
+		})
+	}
+}
+
 func TestScanSkipsTombstonesAndDuplicates(t *testing.T) {
 	s := Open(Options{MemtableBytes: 256})
 	for i := 0; i < 100; i++ {

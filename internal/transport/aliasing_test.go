@@ -29,7 +29,10 @@ func stressValue(key []byte) []byte {
 
 // TestPipelinedClientAliasing drives many goroutines through one pooled
 // client against a real server and checks every Get, Apply, and Scan
-// result for cross-talk between concurrently in-flight frames.
+// result for cross-talk between concurrently in-flight frames. Each
+// worker scans into one reused slice and re-checks the last scan's rows
+// after each of its later round trips, by which time the frame that
+// carried them is back in the pool and serving other requests.
 func TestPipelinedClientAliasing(t *testing.T) {
 	backend := newShard(t, 2)
 	t.Cleanup(func() { backend.Close() })
@@ -48,11 +51,24 @@ func TestPipelinedClientAliasing(t *testing.T) {
 			defer wg.Done()
 			ops := make([]cluster.Op, 0, 4)
 			res := make([]cluster.OpResult, 4)
+			var rows []engine.Entry // the last scan's rows, slice reused
+			rowsOK := func(when string) error {
+				for _, e := range rows {
+					if !bytes.Equal(e.Value, stressValue(e.Key)) {
+						return fmt.Errorf("worker %d scan entry %s %s: got %q", w, e.Key, when, e.Value)
+					}
+				}
+				return nil
+			}
 			for i := 0; i < iters; i++ {
 				key := fmt.Appendf(nil, "stress-%02d-%03d", w, i%32)
 				want := stressValue(key)
 				if err := cl.Put(key, want); err != nil {
 					errc <- fmt.Errorf("worker %d put: %w", w, err)
+					return
+				}
+				if err := rowsOK("after a later put"); err != nil {
+					errc <- err
 					return
 				}
 				got, found, err := cl.Get(key)
@@ -84,17 +100,19 @@ func TestPipelinedClientAliasing(t *testing.T) {
 						return
 					}
 				}
-				if i%16 == 0 {
-					entries, err := cl.Scan([]byte("stress-"), 64)
+				if err := rowsOK("after a later batch"); err != nil {
+					errc <- err
+					return
+				}
+				if i%4 == 0 {
+					rows, err = cl.AppendScan(rows[:0], []byte("stress-"), 64)
 					if err != nil {
 						errc <- fmt.Errorf("worker %d scan: %w", w, err)
 						return
 					}
-					for _, e := range entries {
-						if !bytes.Equal(e.Value, stressValue(e.Key)) {
-							errc <- fmt.Errorf("worker %d scan entry %s: got %q", w, e.Key, e.Value)
-							return
-						}
+					if err := rowsOK("on return"); err != nil {
+						errc <- err
+						return
 					}
 				}
 			}

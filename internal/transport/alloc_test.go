@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 )
 
 // requireAllocs runs fn under testing.AllocsPerRun and fails the test
@@ -137,4 +138,27 @@ func TestServerDispatchAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	// A 100-row scan: the server scans the engine's rows without copying
+	// them and encodes them once; the client decodes the page into the
+	// caller's slice and rebases it into one arena.
+	const rows = 100
+	for i := 0; i < rows; i++ {
+		if err := cl.Put(fmt.Appendf(nil, "alloc-scan-%03d", i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := []byte("alloc-scan-")
+	dst := make([]engine.Entry, 0, rows)
+	scan := func() {
+		out, err := cl.AppendScan(dst[:0], start, rows)
+		if err != nil || len(out) != rows {
+			t.Fatalf("scan: %d rows, %v", len(out), err)
+		}
+		dst = out
+	}
+	for i := 0; i < 64; i++ {
+		scan()
+	}
+	requireAllocs(t, "Scan 100-row round trip into a reused dst", 20, scan)
 }

@@ -692,36 +692,46 @@ func (c *Client) DeleteTraced(trace, parent uint64, key []byte) error {
 }
 
 // Scan returns up to limit entries with key >= start from the remote
-// shard. Pages the server cut short for frame-size reasons are
-// transparently continued, so a shorter-than-limit result always means
-// the range is exhausted — the property the coordinator's k-way merge
-// depends on. (Each continuation is its own server-side snapshot; a
-// scan spanning pages can observe concurrent writes at page edges,
-// like any paginated range read.)
+// shard; see AppendScan.
 func (c *Client) Scan(start []byte, limit int) ([]engine.Entry, error) {
-	var all []engine.Entry
-	for limit > len(all) {
-		var page []engine.Entry
+	return c.AppendScan(nil, start, limit)
+}
+
+// AppendScan appends up to limit entries with key >= start from the
+// remote shard to dst. Each page decodes straight into dst and is then
+// rebased out of the pooled frame into one arena of its own, so the
+// entries stay valid after the frame is recycled. Pages the server cut
+// short for frame-size reasons are transparently continued, so a
+// shorter-than-limit result always means the range is exhausted — the
+// property the coordinator's k-way merge depends on. (Each continuation
+// is its own server-side snapshot; a scan spanning pages can observe
+// concurrent writes at page edges, like any paginated range read.) On
+// error it returns dst as it was passed.
+func (c *Client) AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error) {
+	out := dst
+	for got := 0; got < limit; got = len(out) - len(dst) {
+		n := len(out)
 		var more bool
 		err := c.exchange(OpScan, 0, 0, 4+len(start),
-			func(b []byte) []byte { return EncodeScan(b, start, limit-len(all)) },
+			func(b []byte) []byte { return EncodeScan(b, start, limit-got) },
 			func(p []byte) (err error) {
-				if page, more, err = DecodeEntries(p); err == nil {
-					cloneEntries(page) // entries alias the pooled frame
+				var page []engine.Entry
+				if page, more, err = DecodeEntriesAppend(out[:n], p); err == nil {
+					out = page
+					cloneEntries(out[n:]) // entries alias the pooled frame
 				}
 				return err
 			})
 		if err != nil {
-			return nil, err
+			clear(out[len(dst):])
+			return dst, err
 		}
-		all = append(all, page...)
-		if !more || len(page) == 0 {
+		if !more || len(out) == n {
 			break
 		}
-		last := page[len(page)-1].Key
-		start = append(append([]byte(nil), last...), 0)
+		start = append(append([]byte(nil), out[len(out)-1].Key...), 0)
 	}
-	return all, nil
+	return out, nil
 }
 
 // Apply executes a batch on the remote with backpressure.

@@ -27,8 +27,9 @@ type Backend interface {
 	Put(key, value []byte) error
 	Delete(key []byte) error
 	// AppendScan appends into a caller-owned slice the server recycles
-	// across requests. Entry keys/values are engine-owned copies, so only
-	// the slice header is pooled.
+	// across requests, and returns it (a failed scan's included) so the
+	// server can clear it: entry keys/values alias engine records, which
+	// the response encoding copies.
 	AppendScan(dst []engine.Entry, start []byte, limit int) ([]engine.Entry, error)
 	// ApplyInto and TryApplyInto execute a batch into caller-owned result
 	// slots (len(res) == len(ops)): backpressure and admission control.
@@ -96,6 +97,15 @@ var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // entriesPool recycles scan result buffers ([]engine.Entry headers; the
 // entries' bytes are engine-owned) across OpScan dispatches.
 var entriesPool sync.Pool
+
+// putEntries recycles a scan buffer after clearing the entries the scan
+// left in it: they alias engine records, and a pooled entry would keep
+// a superseded record reachable for as long as the slot sits unused.
+func putEntries(eb *[]engine.Entry, entries []engine.Entry) {
+	clear(entries)
+	*eb = entries[:0]
+	entriesPool.Put(eb)
+}
 
 // ServerOptions tunes a Server. The zero value uses the defaults.
 type ServerOptions struct {
@@ -625,9 +635,9 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		if err != nil {
 			return errFrame(id, err)
 		}
-		// Scan into a pooled entry buffer; entry keys/values are
-		// engine-owned copies, so recycling the slice after encoding is
-		// aliasing-safe.
+		// Scan into a pooled entry buffer. Entries alias engine records,
+		// which encoding copies into the response frame; the buffer is
+		// cleared before it is recycled (putEntries).
 		eb, _ := entriesPool.Get().(*[]engine.Entry)
 		if eb == nil {
 			eb = new([]engine.Entry)
@@ -637,9 +647,10 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 			// A degraded backend scan (lost keyrange coverage) fails the
 			// request loudly: a silently short page would poison the
 			// client's "short means exhausted" pagination contract.
-			entriesPool.Put(eb)
+			putEntries(eb, entries)
 			return errFrame(id, err)
 		}
+		all := entries
 		// Bound the response to what the peer will accept: a frame over
 		// MaxFrame would kill the connection (and every pipelined
 		// request on it) instead of just shortening the page. A cut
@@ -662,8 +673,7 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		f := getFrame(frameOverhead + 4 + encodedEntriesLen(entries))
 		f.b = beginResponse(f.b[:0], id, RespEntries)
 		f.b = finishFrame(EncodeEntries(f.b, entries, more))
-		*eb = entries[:0]
-		entriesPool.Put(eb)
+		putEntries(eb, all)
 		return f
 	case OpBatch:
 		sc := batchPool.Get().(*batchScratch)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -670,6 +671,15 @@ func EncodeEntries(dst []byte, entries []engine.Entry, more bool) []byte {
 
 // DecodeEntries parses a RespEntries payload; keys and values alias p.
 func DecodeEntries(p []byte) ([]engine.Entry, bool, error) {
+	return DecodeEntriesAppend(nil, p)
+}
+
+// DecodeEntriesAppend parses a RespEntries payload, appending the
+// entries to dst (growing it at most once) — the form for callers that
+// decode a page straight into their own slice. Keys and values alias p.
+// On error it returns nil and leaves no aliasing entry behind in dst's
+// spare capacity.
+func DecodeEntriesAppend(dst []engine.Entry, p []byte) ([]engine.Entry, bool, error) {
 	if len(p) < 5 {
 		return nil, false, ErrMalformed
 	}
@@ -679,22 +689,26 @@ func DecodeEntries(p []byte) ([]engine.Entry, bool, error) {
 	if uint64(count)*8 > uint64(len(p)) {
 		return nil, false, ErrMalformed
 	}
-	entries := make([]engine.Entry, 0, count)
+	entries := slices.Grow(dst, int(count))
+	fail := func(err error) ([]engine.Entry, bool, error) {
+		clear(entries[len(dst):])
+		return nil, false, err
+	}
 	for i := uint32(0); i < count; i++ {
 		var key, value []byte
 		var err error
 		key, p, err = takeBytes32(p)
 		if err != nil {
-			return nil, false, err
+			return fail(err)
 		}
 		value, p, err = takeBytes32(p)
 		if err != nil {
-			return nil, false, err
+			return fail(err)
 		}
 		entries = append(entries, engine.Entry{Key: key, Value: value})
 	}
 	if len(p) != 0 {
-		return nil, false, ErrMalformed
+		return fail(ErrMalformed)
 	}
 	return entries, more, nil
 }
