@@ -181,9 +181,6 @@ func analyticsServers(cfg analyticsConfig) (addrs []string, cleanup func(), err 
 	if len(addrs) > 0 {
 		return addrs, func() {}, nil
 	}
-	if err := engine.Validate(cfg.engine); err != nil {
-		return nil, nil, err
-	}
 	n := cfg.nodes
 	if n <= 0 {
 		n = 2

@@ -9,8 +9,8 @@
 //	bdbench -workload Grep -scale 32 -machine e5645
 //	bdbench -workload "Nutch Server" -machine e5310 -reqs 500
 //	bdbench -workload "Cluster OLTP" -shards 8 -replication 2 -clients 16
-//	bdbench -workload "Cluster OLTP" -compaction leveled -blockcache 1048576
-//	bdbench -workload Read -engine lsm -compaction leveled
+//	bdbench -workload "Cluster OLTP" -blockcache 1048576
+//	bdbench -workload Read -blockcache -1
 //	bdbench -workload "Nutch Server" -shards 4
 //	bdbench -listen 127.0.0.1:7421 -shards 2
 //	bdbench -net -addr 127.0.0.1:7421,127.0.0.1:7422 -ops 50000 -clients 8
@@ -57,8 +57,6 @@ func main() {
 		shards   = flag.Int("shards", 0, "shard count for the cluster-capable workloads (0 = workload default)")
 		repl     = flag.Int("replication", 0, "copies per key for Cluster OLTP (0 = workload default)")
 		clients  = flag.Int("clients", 0, "concurrent load generators for Cluster OLTP (0 = workload default)")
-		engName  = flag.String("engine", "", "storage engine backend for the Cloud-OLTP workloads (default lsm; see internal/engine)")
-		compact  = flag.String("compaction", "", "LSM compaction policy: size-tiered or leveled")
 		bcache   = flag.Int("blockcache", 0, "block-cache bytes per engine (0 = default, negative disables)")
 		netMode  = flag.Bool("net", false, "drive the Zipf 95/5 OLTP mix over sockets against the -addr shard servers")
 		addrs    = flag.String("addr", "", "comma-separated shard server addresses for -net")
@@ -115,10 +113,7 @@ func main() {
 			mapTasks: *anMapTasks, reducers: *anReducers,
 			scale: *scale, seed: *seed, workers: *workers, rows: *netRows,
 			jsonPath: *jsonPath,
-			engine: engine.Options{
-				Backend: *engName, Compaction: *compact,
-				BlockCacheBytes: *bcache, MemtableBytes: 1 << 20,
-			},
+			engine:   engine.Options{BlockCacheBytes: *bcache, MemtableBytes: 1 << 20},
 		}))
 	}
 
@@ -130,10 +125,7 @@ func main() {
 			trace: *traceRun, slo: *sloSpec,
 			chaos: *chaos, killEvery: *killEv, downFor: *downFor, dur: *netDur,
 			elastic: *elastOn, resize: *resizeOn,
-			engine: engine.Options{
-				Backend: *engName, Compaction: *compact,
-				BlockCacheBytes: *bcache, MemtableBytes: 1 << 20,
-			},
+			engine: engine.Options{BlockCacheBytes: *bcache, MemtableBytes: 1 << 20},
 		}
 		if cfg.clients <= 0 {
 			cfg.clients = 8
@@ -167,23 +159,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bdbench: unknown workload %q (try -list)\n", *name)
 		exit(2)
 	}
-	if *engName != "" || *compact != "" || *bcache != 0 {
-		choice := workloads.EngineChoice{
-			Engine: *engName, Compaction: *compact, BlockCacheBytes: *bcache,
-		}
-		if err := engine.Validate(engine.Options{
-			Backend: choice.Engine, Compaction: choice.Compaction,
-			BlockCacheBytes: choice.BlockCacheBytes,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench:", err)
-			exit(2)
-		}
+	if *bcache != 0 {
 		ec, ok := w.(workloads.EngineConfigurable)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bdbench: workload %q does not take engine flags\n", *name)
+			fmt.Fprintf(os.Stderr, "bdbench: workload %q does not take -blockcache\n", *name)
 			exit(2)
 		}
-		ec.ConfigureEngine(choice)
+		ec.ConfigureEngine(workloads.EngineChoice{BlockCacheBytes: *bcache})
 	}
 	switch cw := w.(type) {
 	case *workloads.ClusterOLTPWorkload:

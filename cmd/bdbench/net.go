@@ -215,10 +215,6 @@ func newElasticCoordinator(coordCfg cluster.Config, clientOpts transport.ClientO
 // serve-and-drain flow (transport.ServeUntilSignal). Blocks until
 // SIGINT/SIGTERM, then drains gracefully.
 func runListen(cfg netConfig) int {
-	if err := engine.Validate(cfg.engine); err != nil {
-		fmt.Fprintln(os.Stderr, "bdbench:", err)
-		return 2
-	}
 	shards := cfg.shards
 	if shards <= 0 {
 		shards = 1

@@ -13,7 +13,6 @@ import (
 	"repro/internal/bdgs"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/transport"
 )
@@ -150,10 +149,6 @@ type resizeWindow struct {
 func runResize(cfg netConfig) int {
 	if cfg.addrs != "" {
 		fmt.Fprintln(os.Stderr, "bdbench: -resize self-hosts its servers; drop -addr (use -net -elastic to drive external ones)")
-		return 2
-	}
-	if err := engine.Validate(cfg.engine); err != nil {
-		fmt.Fprintln(os.Stderr, "bdbench:", err)
 		return 2
 	}
 	dur := cfg.dur

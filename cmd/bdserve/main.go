@@ -9,7 +9,7 @@
 // Examples:
 //
 //	bdserve -addr 127.0.0.1:7421
-//	bdserve -addr :7421 -shards 2 -compaction leveled -blockcache 1048576
+//	bdserve -addr :7421 -shards 2 -blockcache 1048576
 //	bdserve -addr :7421 -inflight 512 -queue 256
 //	bdserve -addr :7421 -livez 127.0.0.1:7431 -pprof -slowreq 50ms
 //	bdserve -addr :7421 -taskslots 4 -advertise 10.0.0.3:7421
@@ -85,8 +85,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7421", "listen address")
 		shards    = flag.Int("shards", 1, "cluster nodes hosted by this server")
 		repl      = flag.Int("replication", 1, "copies per key across the hosted nodes")
-		engName   = flag.String("engine", "", "storage engine backend (default lsm; see internal/engine)")
-		compact   = flag.String("compaction", "", "LSM compaction policy: size-tiered or leveled")
 		bcache    = flag.Int("blockcache", 0, "block-cache bytes per engine (0 = default, negative disables)")
 		memtable  = flag.Int("memtable", 1<<20, "memtable flush threshold in bytes")
 		queue     = flag.Int("queue", 0, "per-node request queue depth (0 = cluster default)")
@@ -129,16 +127,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	engOpts := engine.Options{
-		Backend:         *engName,
-		Compaction:      *compact,
-		BlockCacheBytes: *bcache,
-		MemtableBytes:   *memtable,
-	}
-	if err := engine.Validate(engOpts); err != nil {
-		fmt.Fprintln(os.Stderr, "bdserve:", err)
-		os.Exit(2)
-	}
 	// One span ring for the whole process: the transport server and the
 	// cluster coordinator both record into it, so a collector fetching
 	// this node's spans (OpTraceFetch, /tracez) sees every layer's hops.
@@ -180,7 +168,7 @@ func main() {
 		QueueDepth:     *queue,
 		WorkersPerNode: *workers,
 		ProbeInterval:  *probeIvl,
-		Engine:         engOpts,
+		Engine:         engine.Options{BlockCacheBytes: *bcache, MemtableBytes: *memtable},
 		Spans:          spans,
 		Events:         events,
 	}

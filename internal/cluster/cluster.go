@@ -46,8 +46,7 @@ type Config struct {
 	HintLimit int
 	// Engine is the per-shard storage-engine configuration (the CPU, if
 	// any, is shared by every shard — the paper characterizes the whole
-	// node). Validate it with engine.Validate before New if the backend
-	// or compaction name comes from user input.
+	// node). Zero fields take the engine defaults.
 	Engine engine.Options
 	// Spans, when non-nil, receives the coordinator-layer spans of every
 	// traced op: "cluster/write" around each sub-batch of replicated
@@ -298,14 +297,9 @@ func (c *Cluster) localNodeLocked() *Node {
 
 // addLocalLocked opens, starts and registers one in-process shard under
 // id; its view row is the caller's to commit. Caller holds mu (or is the
-// constructor). An unconstructible engine configuration is a programmer
-// error and panics; pre-validate user-supplied names with
-// engine.Validate.
+// constructor).
 func (c *Cluster) addLocalLocked(id int, addr string) {
-	eng, err := engine.Open(c.cfg.Engine)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: bad engine config: %v", err))
-	}
+	eng, _ := engine.Open(c.cfg.Engine) // the in-memory engine never fails to open
 	n := newNode(id, eng, c.cfg.QueueDepth, c.cfg.WorkersPerNode, c.cfg.MaxBatch)
 	n.spans = c.spans
 	n.start()

@@ -1,17 +1,9 @@
 package cluster
 
 import (
-	"strconv"
-
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
-
-// metricLevels is how many LSM levels RegisterMetrics exports gauges
-// for. Level counts grow by the engine's size budget factor per level,
-// so eight covers many orders of magnitude of data before a deeper
-// level would go unreported.
-const metricLevels = 8
 
 // Failovers returns how many reads and writes the coordinator has
 // served around a failed primary.
@@ -66,31 +58,6 @@ func (c *Cluster) LocalEngineStats() engine.Stats {
 		}
 	}
 	return st
-}
-
-// LocalLevelBytes sums per-LSM-level logical bytes across in-process
-// members whose engine reports them (engine.LevelSizer), padded or
-// truncated to levels entries.
-func (c *Cluster) LocalLevelBytes(levels int) []uint64 {
-	out := make([]uint64, levels)
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, m := range c.nodes {
-		n, ok := m.member.(*Node)
-		if !ok {
-			continue
-		}
-		sizer, ok := n.eng.(engine.LevelSizer)
-		if !ok {
-			continue
-		}
-		for i, b := range sizer.LevelBytes() {
-			if i < levels {
-				out[i] += b
-			}
-		}
-	}
-	return out
 }
 
 // MigrationStats reports the online-migration counters: key copies
@@ -191,10 +158,8 @@ func (c *Cluster) RegisterMetrics(r *obs.Registry) {
 		get := ec.get
 		r.CounterFunc(ec.name, ec.help, nil, func() uint64 { return get(c.LocalEngineStats()) })
 	}
-	for lvl := 0; lvl < metricLevels; lvl++ {
-		lvl := lvl
-		r.GaugeFunc("bd_engine_level_bytes", "Logical bytes per LSM level across local shards.",
-			obs.Labels{"level": strconv.Itoa(lvl)},
-			func() float64 { return float64(c.LocalLevelBytes(metricLevels)[lvl]) })
-	}
+	// The store keeps one flat run set, so the level label has one value.
+	r.GaugeFunc("bd_engine_level_bytes", "Logical bytes in the immutable LSM runs across local shards.",
+		obs.Labels{"level": "0"},
+		func() float64 { return float64(c.LocalEngineStats().RunBytes) })
 }

@@ -11,8 +11,8 @@ import (
 // Node is one in-process shard server: an independent storage engine
 // fronted by a bounded request queue and a small worker pool. It models
 // a region server — the unit the coordinator routes to, replicates
-// across, and rebalances between. The node is engine-agnostic: it
-// programs against engine.Engine, so any registered backend serves.
+// across, and rebalances between. The node programs against the
+// engine.Engine interface, not the LSM store behind it.
 type Node struct {
 	id  int
 	eng engine.Engine

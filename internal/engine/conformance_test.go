@@ -9,24 +9,28 @@ import (
 )
 
 // confConfigs are the engine configurations every conformance property
-// must agree across: both compaction policies, cache on and off. The
-// memtable is small enough that the op sequences below flush and compact
-// continuously.
+// must agree across: the default run bound and a MaxRuns of 2 (which
+// compacts on every third flush), cache on and off. The memtable is small
+// enough that the op sequences below flush and compact continuously.
 func confConfigs() []Options {
 	return []Options{
-		{Compaction: "size-tiered", MemtableBytes: 1 << 10},
-		{Compaction: "size-tiered", MemtableBytes: 1 << 10, BlockCacheBytes: -1},
-		{Compaction: "leveled", MemtableBytes: 1 << 10, MaxRuns: 2},
-		{Compaction: "leveled", MemtableBytes: 1 << 10, MaxRuns: 2, BlockCacheBytes: -1},
+		{MemtableBytes: 1 << 10},
+		{MemtableBytes: 1 << 10, BlockCacheBytes: -1},
+		{MemtableBytes: 1 << 10, MaxRuns: 2},
+		{MemtableBytes: 1 << 10, MaxRuns: 2, BlockCacheBytes: -1},
 	}
 }
 
 func confName(o Options) string {
+	runs := "size-tiered"
+	if o.MaxRuns > 0 {
+		runs = fmt.Sprintf("size-tiered-maxruns%d", o.MaxRuns)
+	}
 	cache := "cache"
 	if o.BlockCacheBytes < 0 {
 		cache = "nocache"
 	}
-	return fmt.Sprintf("%s/%s", o.Compaction, cache)
+	return runs + "/" + cache
 }
 
 // TestConformanceRandomizedOps drives an identical randomized op
@@ -137,7 +141,7 @@ func TestConformanceRandomizedOps(t *testing.T) {
 
 // TestConformanceSnapshotIsolation verifies that a snapshot taken
 // mid-stream resolves exactly the writes sequenced before it, across
-// both compaction policies and through later flushes and compactions.
+// every configuration and through later flushes and compactions.
 func TestConformanceSnapshotIsolation(t *testing.T) {
 	for _, o := range confConfigs() {
 		o := o

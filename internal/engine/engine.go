@@ -1,17 +1,12 @@
-// Package engine defines the pluggable storage-engine layer: the
-// interface cluster nodes and the Cloud-OLTP workloads program against,
-// a registry of backends, and the options that select compaction policy
-// and block-cache size. The default backend is the internal/kvstore LSM
-// tree (the paper's HBase stand-in); any later backend — on-disk
-// SSTables, a hash engine, a remote shard — plugs in by registering an
-// Opener, with engine_test.go's conformance suite defining the contract.
+// Package engine is the storage-engine seam: the Engine and Snapshot
+// interfaces cluster nodes and the Cloud-OLTP workloads program against,
+// and Open, which builds the one backend — the internal/kvstore LSM tree
+// with size-tiered compaction (the paper's HBase stand-in). A later
+// backend, such as on-disk SSTables, implements the same interfaces, with
+// conformance_test.go defining the contract.
 package engine
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"repro/internal/kvstore"
 	"repro/internal/sim"
 )
@@ -75,15 +70,10 @@ type Snapshot interface {
 	Release()
 }
 
-// Options selects and configures a backend.
+// Options configures the engine. Zero fields take the kvstore defaults.
 type Options struct {
-	// Backend names the registered engine ("" selects "lsm").
-	Backend string
-	// Compaction selects the LSM run-folding policy: "", "size-tiered"
-	// or "leveled".
-	Compaction string
-	// BlockCacheBytes sizes the run-read block cache (0 = backend
-	// default, negative disables).
+	// BlockCacheBytes sizes the run-read block cache (0 = default,
+	// negative disables).
 	BlockCacheBytes int
 	// MemtableBytes is the write-buffer flush threshold.
 	MemtableBytes int
@@ -95,69 +85,17 @@ type Options struct {
 	CPU *sim.CPU
 }
 
-// Opener constructs an engine from options.
-type Opener func(Options) (Engine, error)
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Opener{}
-)
-
-// Register adds a backend under name, replacing any previous entry.
-func Register(name string, open Opener) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = open
-}
-
-// Backends lists the registered backend names, sorted.
-func Backends() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Open constructs the engine Options selects.
+// Open builds the LSM engine opts configures. The error is always nil
+// today; it stays in the signature for a backend whose construction can
+// fail, such as one that opens files.
 func Open(opts Options) (Engine, error) {
-	name := opts.Backend
-	if name == "" {
-		name = "lsm"
-	}
-	regMu.RLock()
-	open := registry[name]
-	regMu.RUnlock()
-	if open == nil {
-		return nil, fmt.Errorf("engine: unknown backend %q (have %v)", name, Backends())
-	}
-	return open(opts)
-}
-
-// Validate reports whether Options selects a constructible engine,
-// without building one.
-func Validate(opts Options) error {
-	e, err := Open(opts)
-	if err != nil {
-		return err
-	}
-	e.Close()
-	return nil
-}
-
-func init() {
-	Register("lsm", openLSM)
-}
-
-// LevelSizer is the optional capability of engines that can report
-// per-level on-disk bytes (the LSM backend promotes it straight from
-// *kvstore.Store). Metrics scrapes type-assert for it; engines without
-// levels simply don't implement it.
-type LevelSizer interface {
-	LevelBytes() []uint64
+	return lsmEngine{kvstore.Open(kvstore.Options{
+		MemtableBytes:   opts.MemtableBytes,
+		BloomBitsPerKey: opts.BloomBitsPerKey,
+		MaxRuns:         opts.MaxRuns,
+		BlockCacheBytes: opts.BlockCacheBytes,
+		CPU:             opts.CPU,
+	})}, nil
 }
 
 // lsmEngine adapts *kvstore.Store to Engine (the method set matches
@@ -166,22 +104,5 @@ type lsmEngine struct {
 	*kvstore.Store
 }
 
-var _ LevelSizer = lsmEngine{}
-
 func (e lsmEngine) Snapshot() Snapshot { return e.Store.Snapshot() }
 func (e lsmEngine) Close()             {}
-
-func openLSM(o Options) (Engine, error) {
-	pol, ok := kvstore.ParseCompaction(o.Compaction)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown compaction policy %q (want size-tiered or leveled)", o.Compaction)
-	}
-	return lsmEngine{kvstore.Open(kvstore.Options{
-		MemtableBytes:   o.MemtableBytes,
-		BloomBitsPerKey: o.BloomBitsPerKey,
-		MaxRuns:         o.MaxRuns,
-		Compaction:      pol,
-		BlockCacheBytes: o.BlockCacheBytes,
-		CPU:             o.CPU,
-	})}, nil
-}

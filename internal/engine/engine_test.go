@@ -3,36 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 )
-
-func TestRegistryAndOpen(t *testing.T) {
-	if _, err := Open(Options{}); err != nil {
-		t.Fatalf("default backend: %v", err)
-	}
-	if _, err := Open(Options{Backend: "lsm", Compaction: "leveled"}); err != nil {
-		t.Fatalf("lsm leveled: %v", err)
-	}
-	if _, err := Open(Options{Backend: "no-such-engine"}); err == nil {
-		t.Fatal("unknown backend must error")
-	}
-	if _, err := Open(Options{Compaction: "bogus"}); err == nil {
-		t.Fatal("unknown compaction policy must error")
-	}
-	if err := Validate(Options{Compaction: "leveled"}); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	found := false
-	for _, b := range Backends() {
-		if b == "lsm" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Backends() = %v, want lsm present", Backends())
-	}
-}
 
 func TestBlockCacheCountersSurface(t *testing.T) {
 	e, err := Open(Options{MemtableBytes: 1 << 10})
@@ -71,49 +43,5 @@ func TestBlockCacheCountersSurface(t *testing.T) {
 	}
 	if st := off.Stats(); st.BlockCacheHits != 0 || st.BlockCacheMisses != 0 {
 		t.Fatalf("disabled cache recorded activity: %+v", st)
-	}
-}
-
-// TestSynchronizedWrapper exercises the RWMutex baseline for basic
-// correctness under concurrency (the race detector does the real work).
-func TestSynchronizedWrapper(t *testing.T) {
-	inner, err := Open(Options{MemtableBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := Synchronized(inner)
-	defer e.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				k := []byte(fmt.Sprintf("s%d-%04d", w, i))
-				e.Put(k, k)
-				if v, ok := e.Get(k); !ok || !bytes.Equal(v, k) {
-					t.Errorf("lost %s", k)
-					return
-				}
-			}
-		}(w)
-	}
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				e.Scan([]byte("s"), 20)
-			}
-		}()
-	}
-	wg.Wait()
-	sn := e.Snapshot()
-	defer sn.Release()
-	if v, ok := sn.Get([]byte("s0-0000")); !ok || !bytes.Equal(v, []byte("s0-0000")) {
-		t.Fatalf("snapshot through wrapper = %q, %v", v, ok)
-	}
-	if e.Stats().Puts == 0 {
-		t.Fatal("stats not forwarded")
 	}
 }

@@ -1,80 +1,26 @@
 package kvstore
 
-import "bytes"
-
-// CompactionPolicy selects how the store folds runs together.
-type CompactionPolicy int
-
-const (
-	// SizeTiered rewrites the entire run set into a single run whenever
-	// the run count exceeds MaxRuns — the seed policy: cheap bookkeeping,
-	// bursty full rewrites, one flat level.
-	SizeTiered CompactionPolicy = iota
-	// Leveled keeps L0 as raw flush output and maintains deeper levels
-	// as sorted, pairwise-disjoint runs with geometrically growing byte
-	// budgets (×8 per level). Point reads probe at most one run per deep
-	// level and compactions rewrite only overlapping runs instead of the
-	// whole store.
-	Leveled
-)
-
-// String names the policy as accepted by ParseCompaction.
-func (p CompactionPolicy) String() string {
-	if p == Leveled {
-		return "leveled"
-	}
-	return "size-tiered"
-}
-
-// ParseCompaction maps a policy name ("", "size-tiered", "leveled") to
-// its CompactionPolicy.
-func ParseCompaction(name string) (CompactionPolicy, bool) {
-	switch name {
-	case "", "size-tiered":
-		return SizeTiered, true
-	case "leveled":
-		return Leveled, true
-	}
-	return SizeTiered, false
-}
-
-// levelGrowth is the per-level byte-budget multiplier under Leveled.
-const levelGrowth = 8
-
-// levelTarget is level lvl's byte budget: 4 memtables at L1, ×8 deeper.
-func (s *Store) levelTarget(lvl int) int {
-	base := 4 * s.opts.MemtableBytes
-	for i := 1; i < lvl; i++ {
-		base *= levelGrowth
-	}
-	return base
-}
-
-// maybeCompactLocked runs the configured policy to quiescence. Caller
-// holds writeMu; each step installs a fresh version, so pinned readers
-// keep serving from the pre-compaction run set.
+// maybeCompactLocked is size-tiered compaction: when the run count
+// exceeds MaxRuns it rewrites the entire run set into a single run —
+// cheap bookkeeping, bursty full rewrites, one flat run set. Caller
+// holds writeMu; the result installs as a fresh version, so pinned
+// readers keep serving from the pre-compaction run set.
 func (s *Store) maybeCompactLocked() {
-	if s.opts.Compaction == Leveled {
-		s.compactLeveledLocked()
-		return
-	}
-	s.compactSizeTieredLocked()
-}
-
-// compactSizeTieredLocked folds every run into one when the count
-// exceeds MaxRuns.
-func (s *Store) compactSizeTieredLocked() {
 	v := s.cur.Load()
-	if len(v.levels[0]) <= s.opts.MaxRuns {
+	if len(v.runs) <= s.opts.MaxRuns {
 		return
 	}
-	runs := make([][]row, len(v.levels[0]))
-	for i, t := range v.levels[0] {
-		runs[i] = t.rows
+	rows := make([][]row, len(v.runs))
+	for i, t := range v.runs {
+		rows[i] = t.rows
 	}
-	merged := mergeRows(runs, true)
+	merged := mergeRows(rows)
 	s.cpu.Code(s.scanCode, s.codeOff(s.scanCode), 768)
-	s.chargeCompactionIO(v.levels[0], nil)
+	// Compaction I/O: every input run is read, block-compressed (a third
+	// of the logical bytes, as on flush), and the output written.
+	for _, t := range v.runs {
+		s.cpu.LoadR(t.region, 0, t.bytes/3)
+	}
 	var out []*sstable
 	if len(merged) > 0 {
 		t := buildSSTable(merged, s.opts.BloomBitsPerKey, s.cpu)
@@ -83,137 +29,6 @@ func (s *Store) compactSizeTieredLocked() {
 	}
 	s.cpu.IntOps(4 * len(merged))
 	s.cpu.Branches(2 * len(merged))
-	nv := v.clone()
-	nv.levels[0] = out
-	s.cur.Store(nv)
+	s.cur.Store(&version{mem: v.mem, runs: out})
 	s.ct.compactions.Add(1)
-}
-
-// compactLeveledLocked drains L0 into L1 when the flush-run count
-// exceeds MaxRuns, then pushes any over-budget deep level one level
-// down, repeating until every level fits.
-func (s *Store) compactLeveledLocked() {
-	for round := 0; round < 32; round++ {
-		v := s.cur.Load()
-		if len(v.levels[0]) > s.opts.MaxRuns {
-			s.compactLevelLocked(0)
-			continue
-		}
-		over := 0
-		for lvl := 1; lvl < len(v.levels); lvl++ {
-			if v.levelBytes(lvl) > s.levelTarget(lvl) {
-				over = lvl
-				break
-			}
-		}
-		if over == 0 {
-			return
-		}
-		s.compactLevelLocked(over)
-	}
-}
-
-// compactLevelLocked merges level lvl's spill set with the overlapping
-// runs of level lvl+1 and installs the result. For lvl 0 the spill set
-// is every L0 run (they overlap each other); deeper levels move their
-// largest run.
-func (s *Store) compactLevelLocked(lvl int) {
-	v := s.cur.Load()
-	var sources, restSrc []*sstable
-	if lvl == 0 {
-		sources = v.levels[0]
-	} else {
-		pick := 0
-		for i, t := range v.levels[lvl] {
-			if t.bytes > v.levels[lvl][pick].bytes {
-				pick = i
-			}
-		}
-		sources = []*sstable{v.levels[lvl][pick]}
-		restSrc = append(append([]*sstable(nil), v.levels[lvl][:pick]...), v.levels[lvl][pick+1:]...)
-	}
-	if len(sources) == 0 {
-		return
-	}
-	lo, hi := sources[0].smallest(), sources[0].largest()
-	for _, t := range sources[1:] {
-		if bytes.Compare(t.smallest(), lo) < 0 {
-			lo = t.smallest()
-		}
-		if bytes.Compare(t.largest(), hi) > 0 {
-			hi = t.largest()
-		}
-	}
-	tgt := lvl + 1
-	var overlap, rest []*sstable
-	if tgt < len(v.levels) {
-		overlap, rest = overlapRange(v.levels[tgt], lo, hi)
-	}
-	// Merge oldest→newest: the target level holds strictly older data
-	// than the spilling level.
-	runs := make([][]row, 0, len(overlap)+len(sources))
-	for _, t := range overlap {
-		runs = append(runs, t.rows)
-	}
-	for _, t := range sources {
-		runs = append(runs, t.rows)
-	}
-	dropTombs := tgt >= v.lastPopulatedLevel()
-	merged := mergeRows(runs, dropTombs)
-	s.cpu.Code(s.scanCode, s.codeOff(s.scanCode), 768)
-	outputs := s.splitIntoRuns(merged)
-	s.chargeCompactionIO(append(append([]*sstable(nil), sources...), overlap...), outputs)
-	s.cpu.IntOps(4 * len(merged))
-	s.cpu.Branches(2 * len(merged))
-
-	nv := v.clone()
-	if lvl == 0 {
-		nv.levels[0] = nil
-	} else {
-		nv.levels[lvl] = restSrc
-	}
-	for len(nv.levels) <= tgt {
-		nv.levels = append(nv.levels, nil)
-	}
-	newLevel := append(append([]*sstable(nil), rest...), outputs...)
-	sortLevel(newLevel)
-	nv.levels[tgt] = newLevel
-	s.cur.Store(nv)
-	s.ct.compactions.Add(1)
-}
-
-// splitIntoRuns chunks merged rows into runs of about two memtables
-// each, so deep levels stay navigable and future overlaps stay narrow.
-func (s *Store) splitIntoRuns(rows []row) []*sstable {
-	if len(rows) == 0 {
-		return nil
-	}
-	target := 2 * s.opts.MemtableBytes
-	var out []*sstable
-	var cur []row
-	bytes := 0
-	for _, r := range rows {
-		cur = append(cur, r)
-		bytes += len(r.key) + len(r.val) + 8
-		if bytes >= target {
-			out = append(out, buildSSTable(cur, s.opts.BloomBitsPerKey, s.cpu))
-			cur, bytes = nil, 0
-		}
-	}
-	if len(cur) > 0 {
-		out = append(out, buildSSTable(cur, s.opts.BloomBitsPerKey, s.cpu))
-	}
-	return out
-}
-
-// chargeCompactionIO models the compaction I/O: every input run is read
-// and every output run written, block-compressed both ways (a third of
-// the logical bytes, as on flush).
-func (s *Store) chargeCompactionIO(inputs, outputs []*sstable) {
-	for _, t := range inputs {
-		s.cpu.LoadR(t.region, 0, t.bytes/3)
-	}
-	for _, t := range outputs {
-		s.cpu.StoreR(t.region, 0, t.bytes/3)
-	}
 }

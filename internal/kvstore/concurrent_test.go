@@ -115,96 +115,93 @@ func TestConcurrentMixedWorkloadIntegrity(t *testing.T) {
 }
 
 // TestConcurrentReadsNeverObserveTornRunSet pins the version-swap
-// guarantee: while a writer drives continuous flushes and compactions
-// (under both policies), concurrent Gets of a stable key set must never
-// miss, and concurrent Scans must always see the complete, ordered
-// stable range — a reader that caught a half-installed run set would
-// fail both.
+// guarantee: while a writer drives continuous flushes and compactions,
+// concurrent Gets of a stable key set must never miss, and concurrent
+// Scans must always see the complete, ordered stable range — a reader
+// that caught a half-installed run set would fail both. The subtest is
+// named for the store's compaction policy.
 func TestConcurrentReadsNeverObserveTornRunSet(t *testing.T) {
-	for _, pol := range []CompactionPolicy{SizeTiered, Leveled} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			s := Open(Options{MemtableBytes: 2048, MaxRuns: 2, Compaction: pol})
-			const stable = 200
-			skey := func(i int) []byte { return []byte(fmt.Sprintf("stable-%05d", i)) }
-			for i := 0; i < stable; i++ {
-				s.Put(skey(i), []byte(fmt.Sprintf("sv-%05d", i)))
-			}
-			s.Flush()
+	t.Run("size-tiered", func(t *testing.T) {
+		s := Open(Options{MemtableBytes: 2048, MaxRuns: 2})
+		const stable = 200
+		skey := func(i int) []byte { return []byte(fmt.Sprintf("stable-%05d", i)) }
+		for i := 0; i < stable; i++ {
+			s.Put(skey(i), []byte(fmt.Sprintf("sv-%05d", i)))
+		}
+		s.Flush()
 
-			stop := make(chan struct{})
-			var writer sync.WaitGroup
-			writer.Add(1)
-			go func() {
-				defer writer.Done()
-				// Churn keys sort before the stable range, so stable
-				// scans cross run boundaries the churn keeps rewriting.
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
+		stop := make(chan struct{})
+		var writer sync.WaitGroup
+		writer.Add(1)
+		go func() {
+			defer writer.Done()
+			// Churn keys sort before the stable range, so stable
+			// scans cross run boundaries the churn keeps rewriting.
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := []byte(fmt.Sprintf("churn-%05d", i%300))
+				s.Put(k, bytes.Repeat([]byte("w"), 40))
+				if i%7 == 0 {
+					s.Delete(k)
+				}
+			}
+		}()
+
+		var readers sync.WaitGroup
+		errc := make(chan error, 8)
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				rng := rand.New(rand.NewSource(int64(r)))
+				for n := 0; n < 3000; n++ {
+					i := rng.Intn(stable)
+					v, ok := s.Get(skey(i))
+					if !ok {
+						errc <- fmt.Errorf("stable key %s vanished mid-compaction", skey(i))
 						return
-					default:
 					}
-					k := []byte(fmt.Sprintf("churn-%05d", i%300))
-					s.Put(k, bytes.Repeat([]byte("w"), 40))
-					if i%7 == 0 {
-						s.Delete(k)
+					if want := fmt.Sprintf("sv-%05d", i); string(v) != want {
+						errc <- fmt.Errorf("stable key %s = %q, want %q", skey(i), v, want)
+						return
+					}
+				}
+			}(r)
+		}
+		for sc := 0; sc < 2; sc++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for n := 0; n < 150; n++ {
+					got := s.Scan([]byte("stable-"), stable)
+					if len(got) != stable {
+						errc <- fmt.Errorf("scan saw %d/%d stable keys", len(got), stable)
+						return
+					}
+					for i, e := range got {
+						if !bytes.Equal(e.Key, skey(i)) {
+							errc <- fmt.Errorf("scan[%d] = %q, want %q", i, e.Key, skey(i))
+							return
+						}
 					}
 				}
 			}()
-
-			var readers sync.WaitGroup
-			errc := make(chan error, 8)
-			for r := 0; r < 4; r++ {
-				readers.Add(1)
-				go func(r int) {
-					defer readers.Done()
-					rng := rand.New(rand.NewSource(int64(r)))
-					for n := 0; n < 3000; n++ {
-						i := rng.Intn(stable)
-						v, ok := s.Get(skey(i))
-						if !ok {
-							errc <- fmt.Errorf("stable key %s vanished mid-compaction", skey(i))
-							return
-						}
-						if want := fmt.Sprintf("sv-%05d", i); string(v) != want {
-							errc <- fmt.Errorf("stable key %s = %q, want %q", skey(i), v, want)
-							return
-						}
-					}
-				}(r)
-			}
-			for sc := 0; sc < 2; sc++ {
-				readers.Add(1)
-				go func() {
-					defer readers.Done()
-					for n := 0; n < 150; n++ {
-						got := s.Scan([]byte("stable-"), stable)
-						if len(got) != stable {
-							errc <- fmt.Errorf("scan saw %d/%d stable keys", len(got), stable)
-							return
-						}
-						for i, e := range got {
-							if !bytes.Equal(e.Key, skey(i)) {
-								errc <- fmt.Errorf("scan[%d] = %q, want %q", i, e.Key, skey(i))
-								return
-							}
-						}
-					}
-				}()
-			}
-			readers.Wait()
-			close(stop)
-			writer.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatal(err)
-			}
-			if st := s.Stats(); st.Flushes == 0 || st.Compactions == 0 {
-				t.Fatalf("churn did not exercise flush/compaction: %+v", st)
-			}
-		})
-	}
+		}
+		readers.Wait()
+		close(stop)
+		writer.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Flushes == 0 || st.Compactions == 0 {
+			t.Fatalf("churn did not exercise flush/compaction: %+v", st)
+		}
+	})
 }
 
 // TestWriteBatchAtomicVisibility pins the visibility-horizon guarantee:

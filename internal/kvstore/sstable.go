@@ -52,10 +52,6 @@ func buildSSTable(rows []row, bitsPerKey int, cpu *sim.CPU) *sstable {
 	return t
 }
 
-// smallest and largest bound the run's key range (rows is never empty).
-func (t *sstable) smallest() []byte { return t.rows[0].key }
-func (t *sstable) largest() []byte  { return t.rows[len(t.rows)-1].key }
-
 // blocks is the modeled block count.
 func (t *sstable) blocks() int { return (len(t.rows) + blockRows - 1) / blockRows }
 
@@ -163,9 +159,9 @@ func (f bloomFilter) mayContain(key []byte) bool {
 
 // mergeRows k-way merges sorted runs; for duplicate keys the row with the
 // highest sequence wins (ties break toward the later run, which callers
-// order oldest→newest). dropTombs removes tombstones — legal only when no
-// older run outside the merge could still hold the key.
-func mergeRows(runs [][]row, dropTombs bool) []row {
+// order oldest→newest). Tombstones are dropped — legal only because the
+// merge covers every run, so no older copy of the key survives outside it.
+func mergeRows(runs [][]row) []row {
 	idx := make([]int, len(runs))
 	var out []row
 	for {
@@ -196,7 +192,7 @@ func mergeRows(runs [][]row, dropTombs bool) []row {
 				idx[i]++
 			}
 		}
-		if winner.tomb && dropTombs {
+		if winner.tomb {
 			continue
 		}
 		out = append(out, winner)

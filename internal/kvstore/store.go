@@ -5,9 +5,9 @@
 // runs with Bloom filters; reads pin an immutable version of the run set
 // with one atomic load and proceed without any store-wide lock while
 // flush and compaction install new versions behind them. The run read
-// path goes through a sharded-LRU block cache, and compaction is
-// pluggable: size-tiered full rewrites or leveled merges (see
-// compaction.go). These are the structures whose access patterns define
+// path goes through a sharded-LRU block cache, and size-tiered
+// compaction folds the run set into one run when it grows past MaxRuns
+// (compaction.go). These are the structures whose access patterns define
 // the Read/Write/Scan characterization in the paper's Figures 2-6.
 package kvstore
 
@@ -38,12 +38,9 @@ type Options struct {
 	// BloomBitsPerKey sizes the per-run Bloom filters (default 10; 0 keeps
 	// the default, negative disables the filters — used by the ablation).
 	BloomBitsPerKey int
-	// MaxRuns triggers compaction when exceeded (default 6). Under
-	// SizeTiered it bounds the total run count; under Leveled it bounds
-	// the L0 flush-run count.
+	// MaxRuns bounds the run count: one more triggers compaction
+	// (default 6).
 	MaxRuns int
-	// Compaction selects the run-folding policy (default SizeTiered).
-	Compaction CompactionPolicy
 	// BlockCacheBytes sizes the sharded-LRU block cache on the run read
 	// path (default 4 MiB; negative disables the cache).
 	BlockCacheBytes int
@@ -76,6 +73,9 @@ type Stats struct {
 	// BlockCacheHits and BlockCacheMisses count run-block accesses
 	// through the block cache (zero when the cache is disabled).
 	BlockCacheHits, BlockCacheMisses uint64
+	// RunBytes is a gauge, not a counter: the logical bytes the current
+	// immutable runs hold (the memtable excluded).
+	RunBytes uint64
 }
 
 // counters is the internal, atomically-updated form of Stats — the read
@@ -350,22 +350,9 @@ func (s *Store) getAt(v *version, seq uint64, key []byte) ([]byte, bool) {
 		// defensive copy — the read path's zero-copy contract.
 		return val, true
 	}
-	// L0 newest-first: flush output runs may overlap.
-	for i := len(v.levels[0]) - 1; i >= 0; i-- {
-		if r, found, dead := s.probeRun(v.levels[0][i], key); found {
-			if dead {
-				return nil, false
-			}
-			return r, true
-		}
-	}
-	// Deep levels are disjoint: at most one candidate run per level.
-	for lvl := 1; lvl < len(v.levels); lvl++ {
-		t := findRun(v.levels[lvl], key)
-		if t == nil {
-			continue
-		}
-		if r, found, dead := s.probeRun(t, key); found {
+	// Newest-first: runs may overlap, and the newest copy wins.
+	for i := len(v.runs) - 1; i >= 0; i-- {
+		if r, found, dead := s.probeRun(v.runs[i], key); found {
 			if dead {
 				return nil, false
 			}
@@ -500,12 +487,10 @@ func (s *Store) scanAt(dst []Entry, v *version, seq uint64, start []byte, limit 
 	// to the heap.
 	var stack [16]scanCursor
 	cs := append(stack[:0], scanCursor{node: v.mem.seek(start), seq: seq})
-	for _, level := range v.levels {
-		for _, t := range level {
-			// The seek itself binary-searches the run's block index.
-			s.chargeProbes(t.region, 5, 24)
-			cs = append(cs, scanCursor{t: t, pos: t.seek(start), lastBlock: -1})
-		}
+	for _, t := range v.runs {
+		// The seek itself binary-searches the run's block index.
+		s.chargeProbes(t.region, 5, 24)
+		cs = append(cs, scanCursor{t: t, pos: t.seek(start), lastBlock: -1})
 	}
 	for i := range cs {
 		cs[i].advance(s)
@@ -596,7 +581,7 @@ func (s *Store) Flush() {
 	s.flushLocked()
 }
 
-// flushLocked freezes the active memtable into an L0 run and installs a
+// flushLocked freezes the active memtable into a new run and installs a
 // fresh version. Caller holds writeMu; readers pinned on the old version
 // keep reading the frozen memtable.
 func (s *Store) flushLocked() {
@@ -612,14 +597,18 @@ func (s *Store) flushLocked() {
 	s.cpu.StoreR(t.region, 0, t.bytes/3)
 	nv := v.clone()
 	nv.mem = newMemtable()
-	nv.levels[0] = append(nv.levels[0], t)
+	nv.runs = append(nv.runs, t)
 	s.cur.Store(nv)
 	s.ct.flushes.Add(1)
 	s.maybeCompactLocked()
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters and sums the current version's run bytes.
 func (s *Store) Stats() Stats {
+	var runBytes uint64
+	for _, t := range s.cur.Load().runs {
+		runBytes += uint64(t.bytes)
+	}
 	return Stats{
 		Puts:             s.ct.puts.Load(),
 		Gets:             s.ct.gets.Load(),
@@ -633,39 +622,14 @@ func (s *Store) Stats() Stats {
 		WALBytes:         s.ct.walBytes.Load(),
 		BlockCacheHits:   s.ct.cacheHits.Load(),
 		BlockCacheMisses: s.ct.cacheMisses.Load(),
+		RunBytes:         runBytes,
 	}
 }
 
-// LevelBytes returns the logical byte size of each LSM level in the
-// current version — the per-level storage distribution the paper's
-// workload characterization plots, surfaced live for metrics scrapes.
-func (s *Store) LevelBytes() []uint64 {
-	v := s.cur.Load()
-	out := make([]uint64, len(v.levels))
-	for i := range v.levels {
-		out[i] = uint64(v.levelBytes(i))
-	}
-	return out
-}
-
-// Runs returns the current immutable run count across all levels (for
-// tests/ablation).
+// Runs returns the current immutable run count (for tests/ablation).
 func (s *Store) Runs() int {
-	return s.cur.Load().runCount()
+	return len(s.cur.Load().runs)
 }
-
-// LevelRuns returns the per-level run counts of the current version.
-func (s *Store) LevelRuns() []int {
-	v := s.cur.Load()
-	out := make([]int, len(v.levels))
-	for i, l := range v.levels {
-		out[i] = len(l)
-	}
-	return out
-}
-
-// Compaction reports the configured policy.
-func (s *Store) Compaction() CompactionPolicy { return s.opts.Compaction }
 
 // Len returns the number of live keys (linear; intended for tests).
 func (s *Store) Len() int {

@@ -90,47 +90,6 @@ func TestCompactionBoundsRunsAndPreservesData(t *testing.T) {
 	}
 }
 
-func TestLeveledCompactionShapeAndData(t *testing.T) {
-	s := Open(Options{MemtableBytes: 1024, MaxRuns: 2, Compaction: Leveled})
-	const n = 2000
-	for i := 0; i < n; i++ {
-		s.Put(key(i%500), val(i)) // heavy overwrites
-	}
-	st := s.Stats()
-	if st.Compactions == 0 {
-		t.Fatal("expected leveled compactions")
-	}
-	lr := s.LevelRuns()
-	if len(lr) < 2 {
-		t.Fatalf("leveled store never left L0: %v", lr)
-	}
-	if lr[0] > 2 {
-		t.Errorf("L0 runs = %d, want <= MaxRuns after compaction", lr[0])
-	}
-	// Deep levels must stay sorted and pairwise disjoint.
-	v := s.cur.Load()
-	for lvl := 1; lvl < len(v.levels); lvl++ {
-		for i := 1; i < len(v.levels[lvl]); i++ {
-			if bytes.Compare(v.levels[lvl][i-1].largest(), v.levels[lvl][i].smallest()) >= 0 {
-				t.Fatalf("level %d runs overlap or unsorted", lvl)
-			}
-		}
-	}
-	// Newest value wins for every key.
-	for k := 0; k < 500; k++ {
-		want := val(k + 1500)
-		if v, ok := s.Get(key(k)); !ok || !bytes.Equal(v, want) {
-			t.Fatalf("Get(%s) = %q, want %q", key(k), v, want)
-		}
-	}
-	// Deletes survive leveled merges.
-	s.Delete(key(3))
-	s.Flush()
-	if _, ok := s.Get(key(3)); ok {
-		t.Fatal("deleted key visible after leveled flush")
-	}
-}
-
 func TestBlockCacheHitsAndEviction(t *testing.T) {
 	s := Open(Options{MemtableBytes: 1024, BlockCacheBytes: 8 << 10})
 	for i := 0; i < 800; i++ {
@@ -195,20 +154,6 @@ func TestWriteBatchGroupCommit(t *testing.T) {
 	}
 }
 
-func TestParseCompaction(t *testing.T) {
-	for name, want := range map[string]CompactionPolicy{
-		"": SizeTiered, "size-tiered": SizeTiered, "leveled": Leveled,
-	} {
-		got, ok := ParseCompaction(name)
-		if !ok || got != want {
-			t.Fatalf("ParseCompaction(%q) = %v, %v", name, got, ok)
-		}
-	}
-	if _, ok := ParseCompaction("bogus"); ok {
-		t.Fatal("bogus policy accepted")
-	}
-}
-
 func TestScanOrderedAndBounded(t *testing.T) {
 	s := Open(Options{MemtableBytes: 512})
 	perm := rand.New(rand.NewSource(1)).Perm(300)
@@ -229,76 +174,75 @@ func TestScanOrderedAndBounded(t *testing.T) {
 	}
 }
 
-// TestScanReadContract pins the zero-copy read contract for scans under
-// both policies: rows from AppendScan and Snapshot.AppendScan alias
-// stored records, so they must stay byte-identical after every key is
-// overwritten and deleted and the store has flushed and compacted the
-// records away. The writes go through one reused buffer, which also
-// checks that Put copies on insert. A row's spare capacity must not be
-// writable, or two readers appending to shared rows would race.
+// TestScanReadContract pins the zero-copy read contract for scans: rows
+// from AppendScan and Snapshot.AppendScan alias stored records, so they
+// must stay byte-identical after every key is overwritten and deleted
+// and the store has flushed and compacted the records away. The writes
+// go through one reused buffer, which also checks that Put copies on
+// insert. A row's spare capacity must not be writable, or two readers
+// appending to shared rows would race. The subtest is named for the
+// store's compaction policy.
 func TestScanReadContract(t *testing.T) {
-	for _, pol := range []CompactionPolicy{SizeTiered, Leveled} {
-		t.Run(pol.String(), func(t *testing.T) {
-			s := Open(Options{MemtableBytes: 1024, MaxRuns: 2, Compaction: pol})
-			const n = 300
-			var buf []byte
-			put := func(i int, v string) {
-				buf = fmt.Appendf(buf[:0], "%s-%d", v, i)
-				s.Put(key(i), buf)
+	t.Run("size-tiered", func(t *testing.T) {
+		s := Open(Options{MemtableBytes: 1024, MaxRuns: 2})
+		const n = 300
+		var buf []byte
+		put := func(i int, v string) {
+			buf = fmt.Appendf(buf[:0], "%s-%d", v, i)
+			s.Put(key(i), buf)
+		}
+		for i := 0; i < n; i++ {
+			put(i, "first")
+			if i == n/2 {
+				s.Flush() // the scans read runs and the memtable
 			}
-			for i := 0; i < n; i++ {
-				put(i, "first")
-				if i == n/2 {
-					s.Flush() // the scans read runs and the memtable
-				}
-			}
+		}
 
-			prefix := Entry{Key: []byte("prefix"), Value: []byte("kept")}
-			live := s.AppendScan([]Entry{prefix}, nil, n)
-			sn := s.Snapshot()
-			snap := sn.AppendScan(nil, key(0), n)
-			sn.Release()
-			if len(live) != n+1 || !bytes.Equal(live[0].Key, prefix.Key) || len(snap) != n {
-				t.Fatalf("scans returned %d and %d rows, want %d (+ prefix) and %d", len(live), len(snap), n, n)
+		prefix := Entry{Key: []byte("prefix"), Value: []byte("kept")}
+		live := s.AppendScan([]Entry{prefix}, nil, n)
+		sn := s.Snapshot()
+		snap := sn.AppendScan(nil, key(0), n)
+		sn.Release()
+		if len(live) != n+1 || !bytes.Equal(live[0].Key, prefix.Key) || len(snap) != n {
+			t.Fatalf("scans returned %d and %d rows, want %d (+ prefix) and %d", len(live), len(snap), n, n)
+		}
+		for _, e := range live[1:] {
+			if cap(e.Key) != len(e.Key) || cap(e.Value) != len(e.Value) {
+				t.Fatalf("row %s: spare capacity exposed (key %d/%d, value %d/%d)",
+					e.Key, len(e.Key), cap(e.Key), len(e.Value), cap(e.Value))
 			}
-			for _, e := range live[1:] {
-				if cap(e.Key) != len(e.Key) || cap(e.Value) != len(e.Value) {
-					t.Fatalf("row %s: spare capacity exposed (key %d/%d, value %d/%d)",
-						e.Key, len(e.Key), cap(e.Key), len(e.Value), cap(e.Value))
-				}
-			}
-			check := func(when string) {
-				t.Helper()
-				for i := 0; i < n; i++ {
-					want := fmt.Sprintf("first-%d", i)
-					for _, e := range []Entry{live[i+1], snap[i]} {
-						if !bytes.Equal(e.Key, key(i)) || string(e.Value) != want {
-							t.Fatalf("%s: row %d = %q=%q, want %q=%q", when, i, e.Key, e.Value, key(i), want)
-						}
+		}
+		check := func(when string) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				want := fmt.Sprintf("first-%d", i)
+				for _, e := range []Entry{live[i+1], snap[i]} {
+					if !bytes.Equal(e.Key, key(i)) || string(e.Value) != want {
+						t.Fatalf("%s: row %d = %q=%q, want %q=%q", when, i, e.Key, e.Value, key(i), want)
 					}
 				}
 			}
-			check("after scan")
+		}
+		check("after scan")
 
-			compactions := s.Stats().Compactions
-			for i := 0; i < n; i++ {
-				put(i, "second-and-longer")
+		compactions := s.Stats().Compactions
+		for i := 0; i < n; i++ {
+			put(i, "second-and-longer")
+		}
+		s.Flush()
+		for i := 0; i < n; i++ {
+			s.Delete(key(i))
+		}
+		s.Flush()
+		for round := 0; s.Stats().Compactions == compactions; round++ {
+			if round == 10 {
+				t.Fatal("no compaction after overwriting and deleting every key")
 			}
+			put(round, "filler")
 			s.Flush()
-			for i := 0; i < n; i++ {
-				s.Delete(key(i))
-			}
-			s.Flush()
-			for round := 0; s.Stats().Compactions == compactions; round++ {
-				if round == 10 {
-					t.Fatal("no compaction after overwriting and deleting every key")
-				}
-				put(round, "filler")
-				s.Flush()
-			}
-			check("after overwrite, delete, flush and compaction")
-		})
-	}
+		}
+		check("after overwrite, delete, flush and compaction")
+	})
 }
 
 func TestScanSkipsTombstonesAndDuplicates(t *testing.T) {
@@ -497,7 +441,7 @@ func TestBloomFilterFalseNegativesNever(t *testing.T) {
 func TestMergeRowsNewestWins(t *testing.T) {
 	old := []row{{key: []byte("a"), val: []byte("old")}, {key: []byte("b"), val: []byte("old")}}
 	newer := []row{{key: []byte("a"), val: []byte("new")}, {key: []byte("c"), tomb: true}}
-	got := mergeRows([][]row{old, newer}, true)
+	got := mergeRows([][]row{old, newer})
 	if len(got) != 2 {
 		t.Fatalf("merged = %d rows", len(got))
 	}

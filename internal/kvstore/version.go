@@ -1,102 +1,26 @@
 package kvstore
 
-import (
-	"bytes"
-	"sort"
-)
-
 // version is one immutable view of the store: the active memtable plus
-// the run hierarchy. Writers build a new version and install it with a
-// single atomic pointer swap (the in-memory manifest); readers pin a
-// version with one load and traverse it without ever taking the store
-// lock — a reader can overlap an arbitrary number of flushes and
-// compactions and still sees a coherent run set, because the versions it
-// pinned are never mutated, only superseded.
+// the run set. Writers build a new version and install it with a single
+// atomic pointer swap (the in-memory manifest); readers pin a version
+// with one load and traverse it without ever taking the store lock — a
+// reader can overlap an arbitrary number of flushes and compactions and
+// still sees a coherent run set, because the versions it pinned are
+// never mutated, only superseded.
 //
-// levels[0] holds flush output, oldest→newest, with overlapping key
-// ranges (both policies flush here). Under leveled compaction,
-// levels[i>0] are sorted by smallest key and pairwise disjoint, so a
-// point lookup probes at most one run per deep level. Size-tiered
-// compaction uses only levels[0].
+// runs holds flush and compaction output, oldest→newest, with
+// overlapping key ranges.
 type version struct {
-	mem    *memtable
-	levels [][]*sstable
+	mem  *memtable
+	runs []*sstable
 }
 
 func newVersion() *version {
-	return &version{mem: newMemtable(), levels: make([][]*sstable, 1)}
+	return &version{mem: newMemtable()}
 }
 
-// clone shallow-copies the version so a writer can edit one level and
+// clone shallow-copies the version so a writer can edit the run set and
 // install the result without disturbing pinned readers.
 func (v *version) clone() *version {
-	nv := &version{mem: v.mem, levels: make([][]*sstable, len(v.levels))}
-	for i, l := range v.levels {
-		nv.levels[i] = append([]*sstable(nil), l...)
-	}
-	return nv
-}
-
-// runCount is the total run count across levels.
-func (v *version) runCount() int {
-	n := 0
-	for _, l := range v.levels {
-		n += len(l)
-	}
-	return n
-}
-
-// levelBytes is the logical byte size of one level.
-func (v *version) levelBytes(lvl int) int {
-	if lvl >= len(v.levels) {
-		return 0
-	}
-	n := 0
-	for _, t := range v.levels[lvl] {
-		n += t.bytes
-	}
-	return n
-}
-
-// lastPopulatedLevel returns the deepest level holding any run (0 if
-// only L0 or nothing does).
-func (v *version) lastPopulatedLevel() int {
-	for i := len(v.levels) - 1; i > 0; i-- {
-		if len(v.levels[i]) > 0 {
-			return i
-		}
-	}
-	return 0
-}
-
-// findRun locates the unique run of a disjoint level that may contain
-// key, or nil. The level must be sorted by smallest key.
-func findRun(level []*sstable, key []byte) *sstable {
-	i := sort.Search(len(level), func(i int) bool {
-		return bytes.Compare(level[i].largest(), key) >= 0
-	})
-	if i < len(level) && bytes.Compare(level[i].smallest(), key) <= 0 {
-		return level[i]
-	}
-	return nil
-}
-
-// overlapRange splits a disjoint level into the runs overlapping
-// [lo, hi] and the untouched remainder.
-func overlapRange(level []*sstable, lo, hi []byte) (overlap, rest []*sstable) {
-	for _, t := range level {
-		if bytes.Compare(t.largest(), lo) < 0 || bytes.Compare(t.smallest(), hi) > 0 {
-			rest = append(rest, t)
-		} else {
-			overlap = append(overlap, t)
-		}
-	}
-	return overlap, rest
-}
-
-// sortLevel orders a disjoint level by smallest key.
-func sortLevel(level []*sstable) {
-	sort.Slice(level, func(i, j int) bool {
-		return bytes.Compare(level[i].smallest(), level[j].smallest()) < 0
-	})
+	return &version{mem: v.mem, runs: append([]*sstable(nil), v.runs...)}
 }

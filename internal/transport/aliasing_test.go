@@ -274,3 +274,57 @@ func FuzzDecodeBatchAppend(f *testing.F) {
 		}
 	})
 }
+
+// TestPutBatchClearsScratch pins the batch scratch's release: once
+// putBatch returns, no slot the request wrote may still reference the
+// request frame (decoded keys and values) or engine records (result
+// values). It walks the server's two outcomes: a served batch releases
+// len(ops) slots, and a failed decode — which wrote an unknown prefix
+// past len(sc.ops) — releases cap(sc.ops).
+func TestPutBatchClearsScratch(t *testing.T) {
+	batch := func(n int) []byte {
+		ops := make([]cluster.Op, n)
+		for i := range ops {
+			ops[i] = cluster.Op{Kind: cluster.OpPut, Key: fmt.Appendf(nil, "k%d", i), Value: []byte("frame-bytes")}
+		}
+		return EncodeBatch(nil, ops, false)
+	}
+	assertClear := func(when string, sc *batchScratch) {
+		t.Helper()
+		for i, op := range sc.ops[:cap(sc.ops)] {
+			if op.Key != nil || op.Value != nil {
+				t.Fatalf("%s: ops[%d] still references %q=%q", when, i, op.Key, op.Value)
+			}
+		}
+		for i, r := range sc.res[:cap(sc.res)] {
+			if r.Value != nil {
+				t.Fatalf("%s: res[%d] still references %q", when, i, r.Value)
+			}
+		}
+	}
+
+	// No server runs during this test, so nothing takes a released
+	// scratch back out of the pool before the assertions read it.
+	sc := &batchScratch{ops: make([]cluster.Op, 0, 8), res: make([]cluster.OpResult, 8)}
+	ops, _, err := DecodeBatchAppend(sc.ops[:0], batch(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.ops = ops
+	for i := range ops {
+		sc.res[i] = cluster.OpResult{Value: []byte("engine-record"), Found: true}
+	}
+	putBatch(sc, len(ops))
+	assertClear("served batch", sc)
+
+	sc = &batchScratch{ops: make([]cluster.Op, 0, 8)}
+	full := batch(4)
+	if _, _, err := DecodeBatchAppend(sc.ops[:0], full[:len(full)-1]); err == nil {
+		t.Fatal("truncated batch decoded")
+	}
+	if sc.ops[:cap(sc.ops)][2].Key == nil {
+		t.Fatal("the failed decode left nothing behind; the case lost its point")
+	}
+	putBatch(sc, cap(sc.ops))
+	assertClear("failed decode", sc)
+}

@@ -85,7 +85,7 @@ var errNoTaskHost = errors.New("transport: server hosts no task executor")
 
 // batchScratch is the pooled per-request decode/execute scratch for
 // OpBatch and OpMirror: the decoded ops (aliasing the request frame) and
-// the result slots. Released back to batchPool after the response frame
+// the result slots. Released through putBatch after the response frame
 // is encoded.
 type batchScratch struct {
 	ops []cluster.Op
@@ -93,6 +93,20 @@ type batchScratch struct {
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// putBatch recycles a batch scratch after clearing the first n slots of
+// its ops and results, the ones the request wrote: decoded ops alias the
+// request frame (an oversize, unpooled one included) and result values
+// alias engine records, so a pooled slot would keep either reachable for
+// as long as the scratch sits unused. Clearing only what was written
+// keeps the cost proportional to the request rather than to the largest
+// batch the scratch ever held. A failed decode wrote an unknown prefix,
+// so its caller passes cap(sc.ops).
+func putBatch(sc *batchScratch, n int) {
+	clear(sc.ops[:n])
+	clear(sc.res[:min(n, cap(sc.res))])
+	batchPool.Put(sc)
+}
 
 // entriesPool recycles scan result buffers ([]engine.Entry headers; the
 // entries' bytes are engine-owned) across OpScan dispatches.
@@ -314,9 +328,11 @@ func (s *Server) forget(conn net.Conn) {
 }
 
 // connState is the per-connection dispatch context: the response queue
-// and the in-flight request group. It exists so request goroutines spawn
-// as a plain method call (`go cs.serveReq(...)`) — no per-request
-// closure allocation.
+// and the in-flight request group, bundled so request goroutines spawn
+// as a plain method call (`go cs.serveReq(...)`). That launch still
+// allocates once per request: the compiler wraps a go statement's call
+// and arguments in a closure that escapes to the heap (measured on
+// go1.24).
 type connState struct {
 	s    *Server
 	out  chan *frame
@@ -679,7 +695,7 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		sc := batchPool.Get().(*batchScratch)
 		ops, try, err := DecodeBatchAppend(sc.ops[:0], payload)
 		if err != nil {
-			batchPool.Put(sc)
+			putBatch(sc, cap(sc.ops))
 			return errFrame(id, err)
 		}
 		sc.ops = ops
@@ -707,14 +723,14 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		_, msg := errorCode(aerr)
 		size := encodedResultsLen(res, msg)
 		if frameOverhead+size > s.opts.MaxFrame {
-			batchPool.Put(sc)
+			putBatch(sc, len(ops))
 			return errFrame(id,
 				fmt.Errorf("batch response of %d bytes exceeds the %d-byte frame limit; split the batch", frameOverhead+size, s.opts.MaxFrame))
 		}
 		f := getFrame(frameOverhead + 4 + size)
 		f.b = beginResponse(f.b[:0], id, RespResults)
 		f.b = finishFrame(EncodeResults(f.b, res, aerr))
-		batchPool.Put(sc)
+		putBatch(sc, len(ops))
 		return f
 	case OpTaskSubmit:
 		if s.opts.Tasks == nil {
@@ -773,11 +789,12 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 	case OpMirror:
 		sc := batchPool.Get().(*batchScratch)
 		ops, migration, epoch, err := DecodeMirrorAppend(sc.ops[:0], payload)
+		n := cap(sc.ops) // a failed decode wrote an unknown prefix
 		if err == nil {
-			sc.ops = ops
+			sc.ops, n = ops, len(ops)
 			err = s.backend.ApplyLocal(ops, migration, epoch)
 		}
-		batchPool.Put(sc)
+		putBatch(sc, n)
 		return ackFrame(id, err)
 	case OpGetLocal:
 		v, ok, err := s.backend.GetLocal(payload)

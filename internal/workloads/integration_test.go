@@ -60,6 +60,12 @@ func TestGrepAgainstReferenceScan(t *testing.T) {
 // produce byte-identical counter snapshots (required for reproducible
 // figures). Run on two representative workloads with single-worker
 // substrates, where the event interleaving is fixed.
+//
+// The Cloud-OLTP rows (Figures 2-6) are further pinned to recorded
+// literals: every simulated charge of the storage engine's write, flush,
+// compaction, point-read and scan paths lands in these counters, so an
+// engine refactor that claims to preserve behaviour must leave them
+// bit-identical.
 func TestCharacterizationDeterminism(t *testing.T) {
 	in := tinyInput()
 	in.Workers = 1
@@ -74,6 +80,47 @@ func TestCharacterizationDeterminism(t *testing.T) {
 		}
 		if a.Counts != b.Counts {
 			t.Errorf("%s: counters differ across identical runs", w.Name())
+		}
+	}
+
+	// 8 MiB of resumés: with 1 MiB memtables and the default MaxRuns of
+	// 6, Write flushes nine times and compacts once, and Read and Scan
+	// serve from the runs and the compacted output of the same load.
+	// About 2 s of simulation, twenty times that under -race.
+	if testing.Short() {
+		return
+	}
+	in.ScaleUnit = 1 << 18
+	for _, c := range []struct {
+		w    core.Workload
+		want sim.Counts
+	}{
+		{NewRead(), sim.Counts{LoadInstrs: 2608559, StoreInstrs: 27048, IntInstrs: 39496094, FPInstrs: 262140, BranchInstrs: 8726982,
+			L1I: sim.CacheStats{Accesses: 4309027, Misses: 595726}, L1D: sim.CacheStats{Accesses: 636168, Misses: 538465, DirtyEvicts: 6924},
+			L2: sim.CacheStats{Accesses: 1134191, Misses: 835884, DirtyEvicts: 9330}, L3: sim.CacheStats{Accesses: 835884, Misses: 99687, DirtyEvicts: 99542},
+			HasL3: true, ITLB: sim.TLBStats{Accesses: 4309027, Misses: 64}, DTLB: sim.TLBStats{Accesses: 374039, Misses: 319894},
+			DRAMReadBytes: 6379968, DRAMWriteBytes: 6370688}},
+		{NewWrite(), sim.Counts{LoadInstrs: 1497643, StoreInstrs: 3049806, IntInstrs: 34030394, FPInstrs: 209712, BranchInstrs: 7962794,
+			L1I: sim.CacheStats{Accesses: 3894611, Misses: 1033170}, L1D: sim.CacheStats{Accesses: 1043004, Misses: 931689, DirtyEvicts: 375258},
+			L2: sim.CacheStats{Accesses: 1964859, Misses: 1573317, DirtyEvicts: 371270}, L3: sim.CacheStats{Accesses: 1573317, Misses: 265844, DirtyEvicts: 69233},
+			HasL3: true, ITLB: sim.TLBStats{Accesses: 3894611, Misses: 22894}, DTLB: sim.TLBStats{Accesses: 514980, Misses: 360679},
+			DRAMReadBytes: 17014016, DRAMWriteBytes: 4430912}},
+		{NewScan(), sim.Counts{LoadInstrs: 758149, StoreInstrs: 19648, IntInstrs: 4326002, FPInstrs: 53422, BranchInstrs: 959148,
+			L1I: sim.CacheStats{Accesses: 699665, Misses: 9243}, L1D: sim.CacheStats{Accesses: 116115, Misses: 111268, DirtyEvicts: 5077},
+			L2: sim.CacheStats{Accesses: 120511, Misses: 118820, DirtyEvicts: 7384}, L3: sim.CacheStats{Accesses: 118820, Misses: 58690, DirtyEvicts: 58670},
+			HasL3: true, ITLB: sim.TLBStats{Accesses: 699665, Misses: 40}, DTLB: sim.TLBStats{Accesses: 25489, Misses: 21270},
+			DRAMReadBytes: 3756160, DRAMWriteBytes: 3754880}},
+	} {
+		res, err := core.Characterize(c.w, in, sim.XeonE5645())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counts != c.want {
+			t.Errorf("%s: counters drifted from the recorded characterization\n got %+v\nwant %+v", c.w.Name(), res.Counts, c.want)
+		}
+		if c.w.Name() == "Write" && (res.Extra["flushes"] < 7 || res.Extra["compactions"] < 1) {
+			t.Errorf("Write: %v flushes, %v compactions; the pin needs >= 7 and >= 1",
+				res.Extra["flushes"], res.Extra["compactions"])
 		}
 	}
 }

@@ -34,15 +34,9 @@ func resumeCount(in core.Input) int {
 	return n
 }
 
-// EngineChoice selects the storage engine the Cloud-OLTP workloads run
-// on: the backend, the compaction policy, and the block-cache size.
-// The zero value is the default LSM engine with size-tiered compaction
-// and the default cache.
+// EngineChoice configures the storage engine the Cloud-OLTP workloads
+// run on. The zero value is the default engine with the default cache.
 type EngineChoice struct {
-	// Engine is the registered backend name ("" = "lsm").
-	Engine string
-	// Compaction is the policy name: "", "size-tiered" or "leveled".
-	Compaction string
 	// BlockCacheBytes sizes the block cache (0 default, negative off).
 	BlockCacheBytes int
 }
@@ -59,8 +53,6 @@ type EngineConfigurable interface {
 // options maps the choice onto engine options for one store instance.
 func (e EngineChoice) options(in core.Input, memtableBytes int) engine.Options {
 	return engine.Options{
-		Backend:         e.Engine,
-		Compaction:      e.Compaction,
 		BlockCacheBytes: e.BlockCacheBytes,
 		MemtableBytes:   memtableBytes,
 		CPU:             in.CPU,
@@ -222,19 +214,10 @@ func (w *ClusterOLTPWorkload) Run(in core.Input) (core.Result, error) {
 	if replication > shards {
 		replication = shards // mirror the cluster's clamp in what we report
 	}
-	engOpts := w.EngineChoice.options(in, w.MemtableBytes)
-	// Validate without the CPU attached: the throwaway probe engine
-	// would otherwise permanently allocate simulated regions into the
-	// characterization address space.
-	probe := engOpts
-	probe.CPU = nil
-	if err := engine.Validate(probe); err != nil {
-		return core.Result{}, err
-	}
 	cl := cluster.New(cluster.Config{
 		Shards:      shards,
 		Replication: replication,
-		Engine:      engOpts,
+		Engine:      w.EngineChoice.options(in, w.MemtableBytes),
 	})
 	defer cl.Close()
 
