@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/analytics"
@@ -173,12 +172,7 @@ func runAnalytics(cfg analyticsConfig) int {
 // -nodes self-hosted in-process servers (each its own cluster + executor
 // behind a real socket, so the wire path is exercised either way).
 func analyticsServers(cfg analyticsConfig) (addrs []string, cleanup func(), err error) {
-	for _, a := range strings.Split(cfg.addrs, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if len(addrs) > 0 {
+	if addrs = splitAddrs(cfg.addrs); len(addrs) > 0 {
 		return addrs, func() {}, nil
 	}
 	n := cfg.nodes

@@ -113,7 +113,7 @@ func main() {
 			mapTasks: *anMapTasks, reducers: *anReducers,
 			scale: *scale, seed: *seed, workers: *workers, rows: *netRows,
 			jsonPath: *jsonPath,
-			engine:   engine.Options{BlockCacheBytes: *bcache, MemtableBytes: 1 << 20},
+			engine:   engine.Options{BlockCacheBytes: *bcache},
 		}))
 	}
 
@@ -125,7 +125,7 @@ func main() {
 			trace: *traceRun, slo: *sloSpec,
 			chaos: *chaos, killEvery: *killEv, downFor: *downFor, dur: *netDur,
 			elastic: *elastOn, resize: *resizeOn,
-			engine: engine.Options{BlockCacheBytes: *bcache, MemtableBytes: 1 << 20},
+			engine: engine.Options{BlockCacheBytes: *bcache},
 		}
 		if cfg.clients <= 0 {
 			cfg.clients = 8

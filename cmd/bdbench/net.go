@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -300,21 +299,12 @@ func runChaosController(servers []*chaosServer, cfg netConfig, stop <-chan struc
 // (e.g. scripts/transport_smoke.sh SIGKILLing a bdserve) and bdbench
 // just has to keep serving through them.
 func runNet(cfg netConfig) int {
-	var sloThreshold time.Duration
-	var sloTarget float64
-	if cfg.slo != "" {
-		var err error
-		if sloThreshold, sloTarget, err = parseSLOSpec(cfg.slo); err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench:", err)
-			return 2
-		}
+	sloThreshold, sloTarget, err := obs.ParseObjective(cfg.slo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bdbench: -slo:", err)
+		return 2
 	}
-	var addrs []string
-	for _, addr := range strings.Split(cfg.addrs, ",") {
-		if addr = strings.TrimSpace(addr); addr != "" {
-			addrs = append(addrs, addr)
-		}
-	}
+	addrs := splitAddrs(cfg.addrs)
 
 	if cfg.elastic && len(addrs) == 0 {
 		fmt.Fprintln(os.Stderr, "bdbench: -elastic needs -addr gossip seeds (self-hosted -chaos members are static; -resize self-hosts an elastic cluster)")
@@ -378,7 +368,6 @@ func runNet(cfg netConfig) int {
 	var coord *cluster.Cluster
 	var ps *peerSet
 	if cfg.elastic {
-		var err error
 		if coord, ps, err = newElasticCoordinator(coordCfg, clientOpts, addrs); err != nil {
 			fmt.Fprintf(os.Stderr, "bdbench: join %s: %v\n", cfg.addrs, err)
 			return 1
@@ -418,26 +407,10 @@ func runNet(cfg netConfig) int {
 
 	// Untimed bulk load, values pre-encoded so the timed phase measures
 	// the serving path.
-	var m bdgs.ResumeModel
-	resumes := m.Generate(cfg.seed, cfg.rows)
-	vals := make([][]byte, cfg.rows)
-	load := make([]cluster.Op, 0, 256)
-	for i, re := range resumes {
-		vals[i] = re.Encode()
-		load = append(load, cluster.Op{Kind: cluster.OpPut, Key: []byte(re.Key), Value: vals[i]})
-		if len(load) == cap(load) {
-			if _, err := coord.Apply(load); err != nil {
-				fmt.Fprintln(os.Stderr, "bdbench: preload:", err)
-				return 1
-			}
-			load = load[:0]
-		}
-	}
-	if len(load) > 0 {
-		if _, err := coord.Apply(load); err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench: preload:", err)
-			return 1
-		}
+	vals, err := preloadResumes(coord, cfg.seed, cfg.rows)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bdbench: preload:", err)
+		return 1
 	}
 
 	stopChaos := make(chan struct{})
@@ -750,20 +723,34 @@ func runTraceProbe(coord *cluster.Cluster, ring *obs.SpanLog, peers []*transport
 	return tr, nil
 }
 
-// parseSLOSpec parses "<threshold>:<target>" (e.g. "5ms:0.999") — the
-// same spec bdserve's -slo flag takes.
-func parseSLOSpec(spec string) (time.Duration, float64, error) {
-	th, tg, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-slo %q: want <threshold>:<target>, e.g. 5ms:0.999", spec)
+// splitAddrs parses a comma-separated -addr list, dropping blanks.
+func splitAddrs(spec string) []string {
+	var addrs []string
+	for _, a := range strings.Split(spec, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			addrs = append(addrs, a)
+		}
 	}
-	d, err := time.ParseDuration(th)
-	if err != nil || d <= 0 {
-		return 0, 0, fmt.Errorf("-slo threshold %q: want a positive duration", th)
+	return addrs
+}
+
+// preloadResumes bulk-loads rows generated resume records through coord
+// in batches of 256, untimed, and returns their encoded values by row:
+// the values the timed phase writes back and a read-back audit expects.
+func preloadResumes(coord *cluster.Cluster, seed int64, rows int) ([][]byte, error) {
+	var m bdgs.ResumeModel
+	resumes := m.Generate(seed, rows)
+	vals := make([][]byte, rows)
+	load := make([]cluster.Op, 0, 256)
+	for i, re := range resumes {
+		vals[i] = re.Encode()
+		load = append(load, cluster.Op{Kind: cluster.OpPut, Key: []byte(re.Key), Value: vals[i]})
+		if len(load) == cap(load) || i == len(resumes)-1 {
+			if _, err := coord.Apply(load); err != nil {
+				return nil, err
+			}
+			load = load[:0]
+		}
 	}
-	target, err := strconv.ParseFloat(tg, 64)
-	if err != nil || target <= 0 || target >= 1 {
-		return 0, 0, fmt.Errorf("-slo target %q: want a fraction in (0,1)", tg)
-	}
-	return d, target, nil
+	return vals, nil
 }

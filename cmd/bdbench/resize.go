@@ -198,26 +198,10 @@ func runResize(cfg netConfig) int {
 
 	// Untimed bulk load through the coordinator, values retained for the
 	// final read-back audit.
-	var m bdgs.ResumeModel
-	resumes := m.Generate(cfg.seed, cfg.rows)
-	vals := make([][]byte, cfg.rows)
-	load := make([]cluster.Op, 0, 256)
-	for i, re := range resumes {
-		vals[i] = re.Encode()
-		load = append(load, cluster.Op{Kind: cluster.OpPut, Key: []byte(re.Key), Value: vals[i]})
-		if len(load) == cap(load) {
-			if _, err := coord.Apply(load); err != nil {
-				fmt.Fprintln(os.Stderr, "bdbench: preload:", err)
-				return 1
-			}
-			load = load[:0]
-		}
-	}
-	if len(load) > 0 {
-		if _, err := coord.Apply(load); err != nil {
-			fmt.Fprintln(os.Stderr, "bdbench: preload:", err)
-			return 1
-		}
+	vals, err := preloadResumes(coord, cfg.seed, cfg.rows)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bdbench: preload:", err)
+		return 1
 	}
 
 	const readFraction = 0.95

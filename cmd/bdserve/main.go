@@ -10,7 +10,7 @@
 //
 //	bdserve -addr 127.0.0.1:7421
 //	bdserve -addr :7421 -shards 2 -blockcache 1048576
-//	bdserve -addr :7421 -inflight 512 -queue 256
+//	bdserve -addr :7421 -shards 4 -replication 2
 //	bdserve -addr :7421 -livez 127.0.0.1:7431 -pprof -slowreq 50ms
 //	bdserve -addr :7421 -taskslots 4 -advertise 10.0.0.3:7421
 //	bdserve -addr :7422 -join 127.0.0.1:7421        (elastic: live-join a running cluster)
@@ -86,14 +86,9 @@ func main() {
 		shards    = flag.Int("shards", 1, "cluster nodes hosted by this server")
 		repl      = flag.Int("replication", 1, "copies per key across the hosted nodes")
 		bcache    = flag.Int("blockcache", 0, "block-cache bytes per engine (0 = default, negative disables)")
-		memtable  = flag.Int("memtable", 1<<20, "memtable flush threshold in bytes")
-		queue     = flag.Int("queue", 0, "per-node request queue depth (0 = cluster default)")
-		workers   = flag.Int("workers", 0, "workers per node (0 = cluster default)")
-		inflight  = flag.Int("inflight", 0, "max concurrently executing requests before shedding (0 = transport default)")
 		livez     = flag.String("livez", "", "optional HTTP observability address (GET /livez, /statz, /metrics, /tracez, /slowz)")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the -livez mux")
 		slowReq   = flag.Duration("slowreq", 0, "record requests at or over this service time to /slowz (0 disables)")
-		traceBuf  = flag.Int("tracebuf", 0, "span-ring capacity for /tracez and /slowz (0 = transport default)")
 		sloSpec   = flag.String("slo", "", "request-latency SLO as <threshold>:<target>, e.g. 5ms:0.999 (serves /sloz on the -livez mux)")
 		execOn    = flag.Bool("exec", true, "host an analytics task executor on this server")
 		taskSlots = flag.Int("taskslots", 0, "concurrent analytics tasks (0 = executor default)")
@@ -121,20 +116,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bdserve: -slo needs -livez (/sloz lives on that mux)")
 		os.Exit(2)
 	}
-	sloThreshold, sloTarget, err := parseSLOSpec(*sloSpec)
+	sloThreshold, sloTarget, err := obs.ParseObjective(*sloSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "bdserve:", err)
+		fmt.Fprintln(os.Stderr, "bdserve: -slo:", err)
 		os.Exit(2)
 	}
 
 	// One span ring for the whole process: the transport server and the
 	// cluster coordinator both record into it, so a collector fetching
 	// this node's spans (OpTraceFetch, /tracez) sees every layer's hops.
-	ringCap := *traceBuf
-	if ringCap <= 0 {
-		ringCap = 256
-	}
-	spans := obs.NewSpanLog(ringCap)
+	spans := obs.NewSpanLog(transport.DefaultTraceBuffer)
 	// Bind both listeners before serving anything: a bad -livez address
 	// must fail the process at startup, not log from a goroutine after
 	// the daemon already reported itself healthy on the wire. The data
@@ -163,14 +154,12 @@ func main() {
 	// scope and may fire (view bounces) before cl is assigned.
 	var clPtr atomic.Pointer[cluster.Cluster]
 	clCfg := cluster.Config{
-		Shards:         *shards,
-		Replication:    *repl,
-		QueueDepth:     *queue,
-		WorkersPerNode: *workers,
-		ProbeInterval:  *probeIvl,
-		Engine:         engine.Options{BlockCacheBytes: *bcache, MemtableBytes: *memtable},
-		Spans:          spans,
-		Events:         events,
+		Shards:        *shards,
+		Replication:   *repl,
+		ProbeInterval: *probeIvl,
+		Engine:        engine.Options{BlockCacheBytes: *bcache},
+		Spans:         spans,
+		Events:        events,
 	}
 	if elastic {
 		clCfg.SelfAddr = selfAddr
@@ -206,9 +195,7 @@ func main() {
 	}
 	var ex *analytics.Executor
 	srvOpts := transport.ServerOptions{
-		MaxInFlight: *inflight,
 		SlowRequest: *slowReq,
-		TraceBuffer: *traceBuf,
 		Spans:       spans,
 	}
 	if *execOn {
@@ -487,25 +474,4 @@ func spanHandler(log *obs.SpanLog) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = core.EncodeJSON(w, spanz{Total: log.Total(), Spans: spans})
 	})
-}
-
-// parseSLOSpec parses the -slo flag's <threshold>:<target> form, e.g.
-// "5ms:0.999". An empty spec disables the SLO (zero threshold).
-func parseSLOSpec(spec string) (time.Duration, float64, error) {
-	if spec == "" {
-		return 0, 0, nil
-	}
-	thr, tgt, ok := strings.Cut(spec, ":")
-	if !ok {
-		return 0, 0, fmt.Errorf("-slo %q: want <threshold>:<target>, e.g. 5ms:0.999", spec)
-	}
-	threshold, err := time.ParseDuration(thr)
-	if err != nil || threshold <= 0 {
-		return 0, 0, fmt.Errorf("-slo %q: bad threshold %q", spec, thr)
-	}
-	target, err := strconv.ParseFloat(tgt, 64)
-	if err != nil || target <= 0 || target >= 1 {
-		return 0, 0, fmt.Errorf("-slo %q: target must be in (0,1), got %q", spec, tgt)
-	}
-	return threshold, target, nil
 }

@@ -249,8 +249,9 @@ func (c *Cluster) planInto(st *applyState, ops []Op, results []OpResult) error {
 		// op whose primary is down pay the full owner lookup.
 		var lead int
 		var reps []mirror
-		needOwners := op.Kind != OpGet && c.cfg.Replication > 1 && !c.cfg.RouteOnly
-		if primary := c.ring.Primary(op.Key); !needOwners && c.nodes[primary] != nil && !c.nodes[primary].isDown() {
+		primary := c.ring.Primary(op.Key)
+		needOwners := op.Kind != OpGet && c.cfg.Replication > 1 && c.mirrorsLocked(primary)
+		if !needOwners && c.nodes[primary] != nil && !c.nodes[primary].isDown() {
 			lead = primary
 		} else {
 			st.owners = c.ring.AppendOwners(st.owners[:0], op.Key, c.cfg.Replication)
@@ -275,9 +276,7 @@ func (c *Cluster) planInto(st *applyState, ops []Op, results []OpResult) error {
 					Err: fmt.Sprintf("primary %d down, write led by member %d", owners[0], lead),
 				})
 			}
-			// Route-only coordinators never mirror — the lead member
-			// replicates server-side under its own (authoritative) view.
-			if op.Kind != OpGet && !c.cfg.RouteOnly {
+			if op.Kind != OpGet && c.mirrorsLocked(lead) {
 				start := len(st.mirrors)
 				for _, id := range owners {
 					if id != lead && c.nodes[id] != nil {
@@ -292,11 +291,11 @@ func (c *Cluster) planInto(st *applyState, ops []Op, results []OpResult) error {
 		// Find lead's open sub-batch: only the most recent one for a
 		// member can have room (they fill in order), so scan backwards
 		// and stop at the first match. Map-free — sub-batch counts stay
-		// small (live members plus MaxBatch splits).
+		// small (live members plus maxBatch splits).
 		var req *request
 		for j := len(st.reqs) - 1; j >= 0; j-- {
 			if st.reqs[j].lead == lead {
-				if len(st.reqs[j].ops) < c.cfg.MaxBatch {
+				if len(st.reqs[j].ops) < maxBatch {
 					req = &st.reqs[j]
 				}
 				break

@@ -13,6 +13,25 @@ import (
 	"repro/internal/obs"
 )
 
+// Sizing every cluster shares. No deployment or workload runs at other
+// values.
+const (
+	// virtualNodes is each member's point count on the hash ring.
+	virtualNodes = 64
+	// queueDepth bounds each node's request queue. A full queue sheds
+	// TryApply traffic with ErrOverload.
+	queueDepth = 128
+	// maxBatch caps the ops of one sub-batch, one worker drain cycle, one
+	// hint-replay round trip and one migration-push chunk.
+	maxBatch = 32
+	// workersPerNode sizes each node's worker pool.
+	workersPerNode = 2
+	// declareDeadAfter is how many consecutive probe sweeps a member
+	// stays down before the lowest-id live member declares it Left and
+	// the cluster heals around the loss.
+	declareDeadAfter = 10
+)
+
 // Config sizes a Cluster.
 type Config struct {
 	// Shards is the initial node count (default 1).
@@ -22,16 +41,6 @@ type Config struct {
 	// reads are served by the primary, so the primary always observes its
 	// own writes.
 	Replication int
-	// VirtualNodes per member on the hash ring (default 64).
-	VirtualNodes int
-	// QueueDepth bounds each node's request queue (default 128). A full
-	// queue sheds TryApply traffic with ErrOverload.
-	QueueDepth int
-	// MaxBatch caps ops per sub-batch and per worker drain cycle
-	// (default 32).
-	MaxBatch int
-	// WorkersPerNode sizes each node's worker pool (default 2).
-	WorkersPerNode int
 	// ProbeInterval is the background health prober's period (default
 	// 200ms; negative disables the prober — tests drive detection with
 	// Probe). The prober starts lazily with the first remote member;
@@ -75,10 +84,6 @@ type Config struct {
 	// MigrateRate bounds background migration throughput in bytes/s
 	// (default 8 MiB/s; negative disables the throttle).
 	MigrateRate int
-	// DeclareDeadAfter is how many consecutive probe sweeps a member
-	// stays down before the lowest-id live member declares it Left and
-	// the cluster heals around the loss (default 10 sweeps).
-	DeclareDeadAfter int
 	// OnViewChange, when non-nil, is called (outside all cluster locks)
 	// each time a new membership view commits. Edge-facing layers use it
 	// to restamp client epochs.
@@ -104,18 +109,6 @@ func (c *Config) normalize() {
 	// clamps per call to the live membership, so a cluster built small
 	// and grown via AddNode reaches the requested R once enough members
 	// exist.
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 128
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-	if c.WorkersPerNode <= 0 {
-		c.WorkersPerNode = 2
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 200 * time.Millisecond
 	}
@@ -127,9 +120,6 @@ func (c *Config) normalize() {
 	}
 	if c.MigrateRate == 0 {
 		c.MigrateRate = 8 << 20
-	}
-	if c.DeclareDeadAfter <= 0 {
-		c.DeclareDeadAfter = 10
 	}
 }
 
@@ -260,7 +250,7 @@ func newCluster(cfg Config) *Cluster {
 	if len(rows) == 0 {
 		epoch = 0
 	}
-	c.commitViewLocked(newView(epoch, cfg.Replication, cfg.VirtualNodes, rows))
+	c.commitViewLocked(newView(epoch, cfg.Replication, virtualNodes, rows))
 	if c.elastic() {
 		if cfg.Dial == nil {
 			panic("cluster: elastic configuration requires Config.Dial")
@@ -285,6 +275,17 @@ func (c *Cluster) frozenLocked() bool {
 	return !c.view.AllSettled() && !c.elastic()
 }
 
+// mirrorsLocked reports whether a write led by member lead takes its
+// replica legs from this process. An elastic cluster mirrors only what
+// its own shard leads: a write forwarded to a remote lead arrives there
+// as a routed batch, and the lead replicates it server-side under its
+// own (authoritative) view — a second, client-side leg from here would
+// land every copy twice. A route-only coordinator leads nothing, so it
+// never mirrors. Caller holds mu.
+func (c *Cluster) mirrorsLocked(lead int) bool {
+	return !c.elastic() || lead == c.selfID
+}
+
 // localNodeLocked returns this member's local shard, or nil for static
 // clusters and route-only coordinators. Caller holds mu.
 func (c *Cluster) localNodeLocked() *Node {
@@ -300,7 +301,7 @@ func (c *Cluster) localNodeLocked() *Node {
 // constructor).
 func (c *Cluster) addLocalLocked(id int, addr string) {
 	eng, _ := engine.Open(c.cfg.Engine) // the in-memory engine never fails to open
-	n := newNode(id, eng, c.cfg.QueueDepth, c.cfg.WorkersPerNode, c.cfg.MaxBatch)
+	n := newNode(id, eng, queueDepth, workersPerNode, maxBatch)
 	n.spans = c.spans
 	n.start()
 	c.nodes[id] = c.wrapMember(n, addr)
@@ -309,7 +310,7 @@ func (c *Cluster) addLocalLocked(id int, addr string) {
 // wrapMember layers the coordinator's failure-detection and hinted-
 // handoff state over m, wired to the cluster's span and event logs.
 func (c *Cluster) wrapMember(m member, addr string) *memberState {
-	ms := newMemberState(m, c.cfg.ProbeFailures, c.cfg.HintLimit, c.cfg.MaxBatch)
+	ms := newMemberState(m, c.cfg.ProbeFailures, c.cfg.HintLimit)
 	ms.spans, ms.events, ms.addr = c.spans, c.events, addr
 	return ms
 }
@@ -427,10 +428,10 @@ func (c *Cluster) Delete(key []byte) error {
 // batches take (replicate.go), minus the queue hop. The lead is the
 // key's first live owner; every other owner rides along as a mirror,
 // down ones included: their memberState buffers the write as a hint
-// instead of paying a doomed RPC. Route-only coordinators never mirror:
-// the lead member replicates server-side under its own (authoritative)
-// view. Replica mirrors are not counted in NodeStats.Ops; they surface in
-// the replica's engine stats instead.
+// instead of paying a doomed RPC. An elastic cluster mirrors only the
+// writes its own shard leads (mirrorsLocked). Replica mirrors are not
+// counted in NodeStats.Ops; they surface in the replica's engine stats
+// instead.
 func (c *Cluster) write(op Op) error {
 	st := applyPool.Get().(*applyState)
 	defer st.release()
@@ -448,9 +449,12 @@ func (c *Cluster) write(op Op) error {
 		}
 		if lead == nil && m != nil && !m.isDown() {
 			lead = m
-		} else if m != nil && !c.cfg.RouteOnly {
+		} else if m != nil {
 			st.mirrors = append(st.mirrors, m)
 		}
+	}
+	if lead != nil && !c.mirrorsLocked(lead.memberID()) {
+		st.mirrors = st.mirrors[:0]
 	}
 	c.mu.RUnlock()
 	if len(st.owners) == 0 {

@@ -148,7 +148,6 @@ func TestClusterConcurrentClients(t *testing.T) {
 	c := New(Config{
 		Shards:      4,
 		Replication: 2,
-		QueueDepth:  256,
 		Engine:      engine.Options{MemtableBytes: 16 << 10},
 	})
 	defer c.Close()
@@ -202,7 +201,7 @@ func TestClusterTryApplyOverload(t *testing.T) {
 	}
 	c.mu.Lock()
 	stopped := newNode(99, eng, 1, 1, 4)
-	c.nodes[99] = newMemberState(stopped, 3, 64, 32)
+	c.nodes[99] = newMemberState(stopped, 3, 64)
 	c.commitViewLocked(newView(2, 1, 8, []MemberInfo{{ID: 99, Incarnation: 1, Settled: 2}}))
 	c.mu.Unlock()
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -39,11 +40,10 @@ func startElasticMember(t *testing.T, repl int, seeds ...string) *elasticMember 
 	var cl *cluster.Cluster
 	cl = cluster.New(cluster.Config{
 		Shards: 1, Replication: repl,
-		SelfAddr:         ln.Addr().String(),
-		ProbeInterval:    probeInterval,
-		ProbeFailures:    2,
-		DeclareDeadAfter: 5,
-		MigrateRate:      64 << 20,
+		SelfAddr:      ln.Addr().String(),
+		ProbeInterval: probeInterval,
+		ProbeFailures: 2,
+		MigrateRate:   64 << 20,
 		Dial: func(addr string) (cluster.Remote, error) {
 			return transport.Connect(addr, transport.ClientOptions{
 				Timeout:     2 * time.Second,
@@ -152,7 +152,7 @@ func TestGossipConvergenceProperty(t *testing.T) {
 	}
 
 	// Detection needs ProbeFailures sweeps to call a crashed member
-	// down plus DeclareDeadAfter sweeps to declare it Left, then a few
+	// down plus ten more sweeps to declare it Left, then a few
 	// rounds for dissemination and migration. 300 rounds (3s) bounds
 	// the whole schedule's cleanup with a wide CI margin.
 	epoch := waitConverged(t, 300, live)
@@ -333,4 +333,96 @@ func allSettled(members []*elasticMember) bool {
 		}
 	}
 	return true
+}
+
+// TestElasticForwarderMirrorsOnce is the regression test for double
+// mirroring by elastic forwarders: a member that holds no copy of a key
+// forwards the write to the key's lead, which replicates it server-side,
+// so the forwarder must not send a replica leg of its own. Every write
+// reaches its replica in exactly one OpMirror frame, through both the
+// single-key path and the batch planner.
+func TestElasticForwarderMirrorsOnce(t *testing.T) {
+	a := startElasticMember(t, 2)
+	b := startElasticMember(t, 2, a.addr)
+	x := startElasticMember(t, 2, a.addr)
+	members := []*elasticMember{a, b, x}
+	t.Cleanup(func() {
+		for _, m := range members {
+			m.stop(false)
+		}
+	})
+	waitConverged(t, 300, members)
+	dropDeadline := time.Now().Add(5 * time.Second)
+	for _, m := range members {
+		for !m.cl.DropsDone() {
+			if time.Now().After(dropDeadline) {
+				t.Fatalf("member %s never finished its drop pass", m.addr)
+			}
+			time.Sleep(probeInterval)
+		}
+	}
+
+	// Keys led by a and copied to b: x forwards every one of them.
+	idA, idB := cluster.MemberIDForAddr(a.addr), cluster.MemberIDForAddr(b.addr)
+	ring := x.cl.View().Ring()
+	var keys [][]byte
+	for i := 0; len(keys) < 40; i++ {
+		k := []byte(fmt.Sprintf("fwd-%04d", i))
+		if o := ring.Owners(k, 2); len(o) == 2 && o[0] == idA && o[1] == idB {
+			keys = append(keys, k)
+		}
+	}
+
+	// Migration copies also travel as OpMirror frames: count from here.
+	regs := make([]*obs.Registry, len(members))
+	before := make([]uint64, len(members))
+	for i, m := range members {
+		regs[i] = obs.NewRegistry()
+		m.srv.RegisterMetrics(regs[i])
+		before[i] = mirrorFrames(regs[i])
+	}
+	for i, k := range keys {
+		var err error
+		if i%2 == 0 {
+			err = x.cl.Put(k, []byte("v"))
+		} else {
+			_, err = x.cl.Apply([]cluster.Op{{Kind: cluster.OpPut, Key: k, Value: []byte("v")}})
+		}
+		if err != nil {
+			t.Fatalf("write %d through the forwarder: %v", i, err)
+		}
+	}
+
+	stores := make([][]engine.Entry, len(members))
+	for i, m := range members {
+		entries, err := m.cl.Scan(nil, 2*len(keys)) // an elastic member scans its own shard only
+		if err != nil {
+			t.Fatalf("scan of member %s: %v", m.addr, err)
+		}
+		stores[i] = entries
+		replicaCopies := 0
+		for _, e := range entries {
+			if ring.Primary(e.Key) != cluster.MemberIDForAddr(m.addr) {
+				replicaCopies++
+			}
+		}
+		if got := mirrorFrames(regs[i]) - before[i]; got != uint64(replicaCopies) {
+			t.Errorf("member %d received %d mirror frames for the %d replica copies it holds", i, got, replicaCopies)
+		}
+	}
+	if len(stores[0]) != len(keys) || len(stores[1]) != len(keys) || len(stores[2]) != 0 {
+		t.Fatalf("stores hold %d, %d, %d keys; want %d on the lead and the replica, 0 on the forwarder",
+			len(stores[0]), len(stores[1]), len(stores[2]), len(keys))
+	}
+	for i := range stores[0] {
+		if p, r := stores[0][i], stores[1][i]; string(p.Key) != string(r.Key) || string(p.Value) != string(r.Value) {
+			t.Fatalf("copy %d differs: lead %q=%q, replica %q=%q", i, p.Key, p.Value, r.Key, r.Value)
+		}
+	}
+}
+
+// mirrorFrames reads the server's count of OpMirror requests received.
+func mirrorFrames(reg *obs.Registry) uint64 {
+	v, _ := reg.Capture("").Lookup("bd_transport_requests_total", `{op="mirror"}`)
+	return v.Uint()
 }

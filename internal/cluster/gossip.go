@@ -22,7 +22,7 @@ import (
 // Liveness flows through the same channel: the PR 4 failure detector's
 // verdicts (consecutive probe failures → down) are published into the
 // view as Suspect/Down rows each sweep, a member that stays down for
-// DeclareDeadAfter sweeps is declared Left by the lowest-id live member,
+// declareDeadAfter sweeps is declared Left by the lowest-id live member,
 // and a falsely accused member refutes with a higher incarnation on its
 // next merge (assertSelfLocked). Epochs bump exactly when the on-ring
 // member set changes, which is what arms the migrator (migrate.go).
@@ -502,7 +502,7 @@ func (c *Cluster) gossipNow() {
 // publishHealth folds the failure detector's verdicts into the view
 // after a probe sweep: reachable members are (re)published Alive,
 // failing ones Suspect, down ones Down — and a member down (or a leaver
-// silent) for DeclareDeadAfter consecutive sweeps is declared Left by
+// silent) for declareDeadAfter consecutive sweeps is declared Left by
 // the lowest-id live member, healing the ring around the loss. members
 // is the sweep's snapshot.
 func (c *Cluster) publishHealth(members []*memberState) {
@@ -527,7 +527,7 @@ func (c *Cluster) publishHealth(members []*memberState) {
 		} else {
 			m.downSweeps = 0
 		}
-		if m.downSweeps >= c.cfg.DeclareDeadAfter && c.lowestLiveLocked(nv) == c.selfID {
+		if m.downSweeps >= declareDeadAfter && c.lowestLiveLocked(nv) == c.selfID {
 			row.Status = StatusLeft
 			row.Incarnation++
 			nv = nv.withRow(row)

@@ -35,14 +35,13 @@ type memberState struct {
 	// write primary's wmu (via mirrorBatch), so the buffer preserves
 	// per-key write order; replay drains in order and only clears the
 	// down flag once the buffer is empty, so a replayed write is never
-	// overtaken by a younger direct one. replayChunk caps the ops one
-	// replay round trip carries (Config.MaxBatch).
-	hmu         sync.Mutex
-	hints       []Op
-	hintCap     int
-	replayChunk int
-	replayed    atomic.Uint64
-	dropped     atomic.Uint64
+	// overtaken by a younger direct one. One replay round trip carries
+	// at most maxBatch ops.
+	hmu      sync.Mutex
+	hints    []Op
+	hintCap  int
+	replayed atomic.Uint64
+	dropped  atomic.Uint64
 
 	// spans, when non-nil, receives a "cluster/hint" annotation span
 	// whenever a traced replica write defers to the handoff buffer, so
@@ -62,13 +61,13 @@ type memberState struct {
 	// for a static cluster's members); it keys the member's view row.
 	addr string
 	// downSweeps counts consecutive probe sweeps the member has spent
-	// down — the declare-dead clock (Config.DeclareDeadAfter). Only the
+	// down — the declare-dead clock (declareDeadAfter). Only the
 	// prober goroutine touches it.
 	downSweeps int
 }
 
-func newMemberState(m member, threshold, hintCap, replayChunk int) *memberState {
-	return &memberState{member: m, threshold: int32(threshold), hintCap: hintCap, replayChunk: replayChunk}
+func newMemberState(m member, threshold, hintCap int) *memberState {
+	return &memberState{member: m, threshold: int32(threshold), hintCap: hintCap}
 }
 
 // isDown reports the detector's current verdict.
@@ -139,7 +138,7 @@ func (s *memberState) hintsPending() int {
 
 // drainHints replays the buffered writes onto the recovered member in
 // order — through the same batched mirror call live replication uses,
-// replayChunk ops per round trip — and, once the buffer is empty, clears
+// maxBatch ops per round trip — and, once the buffer is empty, clears
 // the down flag in the same critical section: writes hinted while replay
 // ran are drained by the next loop pass, so the member never serves as a
 // replica target with undelivered hints ahead of it. A replay failure
@@ -169,7 +168,7 @@ func (s *memberState) drainHints() error {
 		s.hints = nil
 		s.hmu.Unlock()
 		for len(backlog) > 0 {
-			chunk := backlog[:min(len(backlog), s.replayChunk)]
+			chunk := backlog[:min(len(backlog), maxBatch)]
 			if err := s.member.mirrorBatch(chunk); err != nil {
 				s.hmu.Lock()
 				s.hints = append(backlog, s.hints...)

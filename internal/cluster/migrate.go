@@ -33,7 +33,7 @@ import (
 //     under the last settled view that is still eligible — push a copy
 //     to each owner the key gained under the current view, paced to
 //     Config.MigrateRate bytes/s. Copies are gathered per destination
-//     and travel in chunks of up to MaxBatch as OpMirror(migration)
+//     and travel in chunks of up to maxBatch as OpMirror(migration)
 //     frames (migPush); they land with store-only semantics: no replica
 //     fan-out, and never over a key the destination wrote after the
 //     epoch began (the dirty-guard below, consulted per key).
@@ -273,12 +273,11 @@ func (p *migPush) add(id int, op Op) {
 // or fails a chunk gives up its remainder, so a dead peer costs one
 // failed round trip per flush.
 func (p *migPush) flush() (failed []Op) {
-	chunk := p.c.cfg.MaxBatch
 	for i := range p.dests {
 		d := &p.dests[i]
 		tgt := p.member(d.id)
 		for ops := d.ops; len(ops) > 0; {
-			n := min(len(ops), chunk)
+			n := min(len(ops), maxBatch)
 			err := errUndialed
 			if tgt != nil {
 				err = p.deliver(tgt, ops[:n], true)
@@ -471,7 +470,7 @@ func (p *migPush) dropPass(src *memberState, v *ClusterView) error {
 			}
 		}
 		for ops := dels; len(ops) > 0; {
-			n := min(len(ops), p.c.cfg.MaxBatch)
+			n := min(len(ops), maxBatch)
 			if err := p.deliver(src, ops[:n], false); err != nil {
 				return fmt.Errorf("cluster: migration drop from member %d: %w", self, err)
 			}

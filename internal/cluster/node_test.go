@@ -55,7 +55,7 @@ func TestNodeAdmissionControl(t *testing.T) {
 }
 
 // TestNodeBatchCoalescing verifies a worker drains queued requests in
-// coalesced groups bounded by MaxBatch.
+// coalesced groups bounded by maxBatch.
 func TestNodeBatchCoalescing(t *testing.T) {
 	eng, err := engine.Open(engine.Options{})
 	if err != nil {

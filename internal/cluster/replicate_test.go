@@ -229,13 +229,16 @@ func TestShedMirrorLegIsHinted(t *testing.T) {
 }
 
 // TestHintReplayChunked pins ordered chunked replay: a backlog of n hints
-// costs at most ⌈n ÷ MaxBatch⌉ round trips, a failed chunk re-buffers the
+// costs at most ⌈n ÷ maxBatch⌉ round trips, a failed chunk re-buffers the
 // unapplied tail ahead of younger hints, and the member ends up with the
 // primary's final state.
 func TestHintReplayChunked(t *testing.T) {
-	const chunk = 8
-	c, rem, remID := replicatedPair(t, Config{MaxBatch: chunk, ProbeFailures: 1})
-	keys := remoteKeys(c, 0, 50)
+	const chunk = maxBatch
+	// young is rewritten while still in the backlog: it sits in the
+	// second chunk, the one the first recovery attempt loses.
+	const young = chunk + 2
+	c, rem, remID := replicatedPair(t, Config{ProbeFailures: 1})
+	keys := remoteKeys(c, 0, 6*chunk+2)
 	rem.batch = func(int64, []Op) ([]OpResult, error) { return nil, errNetDown }
 	for _, k := range keys {
 		if err := c.Put(k, []byte("old")); err != nil {
@@ -259,7 +262,7 @@ func TestHintReplayChunked(t *testing.T) {
 		t.Fatalf("after a failed chunk: down=%v replayed=%d pending=%d", ns.Down, ns.HintsReplayed, ns.HintsPending)
 	}
 	// A younger write to a key still in the backlog must replay after it.
-	if err := c.Put(keys[10], []byte("new")); err != nil {
+	if err := c.Put(keys[young], []byte("new")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -275,7 +278,7 @@ func TestHintReplayChunked(t *testing.T) {
 	}
 	for i, k := range keys {
 		want := "old"
-		if i == 10 {
+		if i == young {
 			want = "new"
 		}
 		for _, id := range []int{0, remID} {
@@ -291,32 +294,36 @@ func TestHintReplayChunked(t *testing.T) {
 // applyLocal calls with the receiver's dirty-guard still consulted per
 // key, and an unreachable destination hands its copies back.
 func TestMigrationPushChunks(t *testing.T) {
-	c := New(Config{Shards: 2, MaxBatch: 4, Engine: engine.Options{MemtableBytes: 32 << 10}})
+	c := New(Config{Shards: 2, Engine: engine.Options{MemtableBytes: 32 << 10}})
 	defer c.Close()
 	dst := c.memberFor(1).member.(*Node)
 	g := newMigrationGuard(1)
 	dst.guard.Store(g)
-	g.mark([]byte("mig-03")) // a live write landed after the epoch began
-	dst.eng.Put([]byte("mig-03"), []byte("live"))
+	// More copies than one chunk carries, with the guarded key in the
+	// second chunk.
+	const copies, live = 3*maxBatch + 2, maxBatch + 3
+	key := func(i int) []byte { return []byte(fmt.Sprintf("mig-%03d", i)) }
+	g.mark(key(live)) // a live write landed after the epoch began
+	dst.eng.Put(key(live), []byte("live"))
 
 	push := c.livePush(1, 0)
-	for i := 0; i < 10; i++ {
-		push.add(1, Op{Kind: OpPut, Key: []byte(fmt.Sprintf("mig-%02d", i)), Value: []byte("copy")})
+	for i := 0; i < copies; i++ {
+		push.add(1, Op{Kind: OpPut, Key: key(i), Value: []byte("copy")})
 	}
 	if failed := push.flush(); len(failed) != 0 {
 		t.Fatalf("flush left %d copies undelivered", len(failed))
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < copies; i++ {
 		want := "copy"
-		if i == 3 {
+		if i == live {
 			want = "live"
 		}
-		if v, ok := dst.eng.Get([]byte(fmt.Sprintf("mig-%02d", i))); !ok || string(v) != want {
-			t.Fatalf("mig-%02d = %q, %v; want %q", i, v, ok, want)
+		if v, ok := dst.eng.Get(key(i)); !ok || string(v) != want {
+			t.Fatalf("%s = %q, %v; want %q", key(i), v, ok, want)
 		}
 	}
-	if keys, _, _ := c.MigrationStats(); keys != 10 {
-		t.Fatalf("migration keys counted %d, want 10", keys)
+	if keys, _, _ := c.MigrationStats(); keys != copies {
+		t.Fatalf("migration keys counted %d, want %d", keys, copies)
 	}
 	if skips := dst.guardSkips.Load(); skips != 1 {
 		t.Fatalf("dirty-guard skipped %d copies, want 1", skips)

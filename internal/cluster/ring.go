@@ -25,7 +25,7 @@ type ringPoint struct {
 // (default 64 when <= 0).
 func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = 64
+		vnodes = virtualNodes
 	}
 	return &Ring{vnodes: vnodes, member: map[int]bool{}}
 }

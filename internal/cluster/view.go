@@ -127,7 +127,7 @@ func newView(epoch uint64, r, vnodes int, members []MemberInfo) *ClusterView {
 		r = 1
 	}
 	if vnodes <= 0 {
-		vnodes = 64
+		vnodes = virtualNodes
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
 	v := &ClusterView{Epoch: epoch, R: r, VNodes: vnodes, Members: members}

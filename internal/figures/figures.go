@@ -8,6 +8,7 @@ package figures
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/comparators"
 	"repro/internal/core"
@@ -70,11 +71,58 @@ func (c Config) progress(format string, args ...any) {
 // suite returns the workload list (package-level for test injection).
 func suite() []core.Workload { return workloads.All() }
 
+// charKey names one characterization: a workload or comparator suite
+// (figures run only the stock ones, so the name identifies it), its
+// whole input and the machine model it ran on.
+type charKey struct {
+	workload string
+	in       core.Input
+	machine  string
+}
+
+// charEntry is one characterization, computed once however many figures
+// ask for it at the same time.
+type charEntry struct {
+	once sync.Once
+	res  core.Result
+	err  error
+}
+
+// charMemo holds every characterization this process has run
+// (charKey → *charEntry). The figures revisit the same points — Figure
+// 2's small and large inputs are Figure 3-1's baseline and 32× columns,
+// and Figures 4, 5 and 6 all read the E5645 at CharScale and the
+// comparator suites on it. A repeat run of a point would measure the
+// same simulated counts again (its instruction counts exactly; its
+// cache-miss counts up to the interleaving of the workload's workers),
+// so one run serves every figure. Callers only read the shared results.
+var charMemo sync.Map
+
+// memoized returns key's characterization, running run for it only if
+// no caller has yet.
+func memoized(key charKey, run func() (core.Result, error)) (core.Result, error) {
+	e, _ := charMemo.LoadOrStore(key, new(charEntry))
+	ce := e.(*charEntry)
+	ce.once.Do(func() { ce.res, ce.err = run() })
+	return ce.res, ce.err
+}
+
 // charAt characterizes one workload at one scale on one machine.
 func (c Config) charAt(w core.Workload, scale int, cfg sim.MachineConfig) (core.Result, error) {
 	in := c.Base
 	in.Scale = scale
-	return core.Characterize(w, in, cfg)
+	return memoized(charKey{w.Name(), in, cfg.Name}, func() (core.Result, error) {
+		return core.Characterize(w, in, cfg)
+	})
+}
+
+// suiteCounts is comparators.SuiteCounts through the memo: the kernels
+// take no input, so the suite and the machine name the point.
+func suiteCounts(suite string, cfg sim.MachineConfig) sim.Counts {
+	res, _ := memoized(charKey{workload: suite, machine: cfg.Name}, func() (core.Result, error) {
+		return core.Result{Counts: comparators.SuiteCounts(suite, cfg)}, nil
+	})
+	return res.Counts
 }
 
 // Fig2 reproduces Figure 2: L3 cache MPKI of the small (baseline) and
@@ -187,7 +235,7 @@ func (c Config) Fig4() (*core.Table, error) {
 		core.CellF(avg.Branch/float64(n)), core.CellF(avg.Integer/float64(n)),
 		core.CellF(avg.FP/float64(n)), "")
 	for _, s := range comparators.Suites() {
-		addMix("Avg_"+s, comparators.SuiteCounts(s, cfg))
+		addMix("Avg_"+s, suiteCounts(s, cfg))
 		c.progress("fig4 %s done", s)
 	}
 	return t, nil
@@ -229,8 +277,8 @@ func (c Config) Fig5(kind string) (*core.Table, error) {
 	t.AddRow("Avg_BigData", fmt.Sprintf("%.4f", sum10/float64(n)),
 		fmt.Sprintf("%.4f", sum45/float64(n)))
 	for _, s := range comparators.Suites() {
-		k45 := comparators.SuiteCounts(s, cfg5645)
-		k10 := comparators.SuiteCounts(s, cfg5310)
+		k45 := suiteCounts(s, cfg5645)
+		k10 := suiteCounts(s, cfg5310)
 		t.AddRow("Avg_"+s, fmt.Sprintf("%.4f", intensity(k10)),
 			fmt.Sprintf("%.4f", intensity(k45)))
 	}
@@ -262,7 +310,7 @@ func (c Config) Fig6Cache() (*core.Table, error) {
 	}
 	t.AddRow("Avg_BigData", core.CellF(s1/float64(n)), core.CellF(s2/float64(n)), core.CellF(s3/float64(n)))
 	for _, s := range comparators.Suites() {
-		k := comparators.SuiteCounts(s, cfg)
+		k := suiteCounts(s, cfg)
 		t.AddRow("Avg_"+s, core.CellF(k.L1IMPKI()), core.CellF(k.L2MPKI()), core.CellF(k.L3MPKI()))
 	}
 	return t, nil
@@ -291,7 +339,7 @@ func (c Config) Fig6TLB() (*core.Table, error) {
 	}
 	t.AddRow("Avg_BigData", core.CellF(sd/float64(n)), core.CellF(si/float64(n)))
 	for _, s := range comparators.Suites() {
-		k := comparators.SuiteCounts(s, cfg)
+		k := suiteCounts(s, cfg)
 		t.AddRow("Avg_"+s, core.CellF(k.DTLBMPKI()), core.CellF(k.ITLBMPKI()))
 	}
 	return t, nil

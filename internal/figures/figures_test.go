@@ -113,6 +113,7 @@ func TestFig2Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure generation")
 	}
+	t.Parallel()
 	tab, err := tinyCfg().Fig2()
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +134,7 @@ func TestFig3Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure generation")
 	}
+	t.Parallel()
 	cfg := tinyCfg()
 	mips, err := cfg.Fig3MIPS()
 	if err != nil {
@@ -156,6 +158,7 @@ func TestFig4AndFig6Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure generation")
 	}
+	t.Parallel()
 	cfg := tinyCfg()
 	f4, err := cfg.Fig4()
 	if err != nil {
@@ -194,6 +197,7 @@ func TestFig5Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure generation")
 	}
+	t.Parallel()
 	tab, err := tinyCfg().Fig5("fp")
 	if err != nil {
 		t.Fatal(err)

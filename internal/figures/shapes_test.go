@@ -17,6 +17,7 @@ func TestHeadlineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite")
 	}
+	t.Parallel()
 	cfg := Quick()
 	cfg.CharScale = 4
 	m5645 := sim.XeonE5645()
@@ -54,7 +55,7 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 	suites := map[string]sim.Counts{}
 	for _, s := range comparators.Suites() {
-		suites[s] = comparators.SuiteCounts(s, m5645)
+		suites[s] = suiteCounts(s, m5645)
 	}
 
 	// Shape 1: FP operation intensity of big data is far below the
@@ -164,6 +165,7 @@ func TestDataVolumeShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs scale sweeps")
 	}
+	t.Parallel()
 	cfg := Quick()
 	m := sim.XeonE5645()
 	runAt := func(w core.Workload, scale int) sim.Counts {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -51,6 +53,28 @@ type Objective struct {
 	Hist      *Histogram
 	Threshold time.Duration
 	Target    float64 // in (0,1)
+}
+
+// ParseObjective parses an objective's <threshold>:<target> form, e.g.
+// "5ms:0.999" — the spec the -slo flags of bdserve and bdbench take. An
+// empty spec is no objective: a zero threshold and no error.
+func ParseObjective(spec string) (threshold time.Duration, target float64, err error) {
+	if spec == "" {
+		return 0, 0, nil
+	}
+	thr, tgt, ok := strings.Cut(spec, ":")
+	if !ok {
+		return 0, 0, fmt.Errorf("SLO %q: want <threshold>:<target>, e.g. 5ms:0.999", spec)
+	}
+	threshold, err = time.ParseDuration(thr)
+	if err != nil || threshold <= 0 {
+		return 0, 0, fmt.Errorf("SLO %q: threshold %q is not a positive duration", spec, thr)
+	}
+	target, err = strconv.ParseFloat(tgt, 64)
+	if err != nil || target <= 0 || target >= 1 {
+		return 0, 0, fmt.Errorf("SLO %q: target %q is not a fraction in (0,1)", spec, tgt)
+	}
+	return threshold, target, nil
 }
 
 type sloSample struct {

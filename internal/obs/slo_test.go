@@ -132,3 +132,39 @@ func TestSLOStartStop(t *testing.T) {
 	s.Stop()
 	s.Stop() // idempotent
 }
+
+func TestParseObjective(t *testing.T) {
+	cases := []struct {
+		spec      string
+		threshold time.Duration
+		target    float64
+		wantErr   string // substring; "" = no error
+	}{
+		{"5ms:0.999", 5 * time.Millisecond, 0.999, ""},
+		{"", 0, 0, ""}, // no objective
+		{"5ms", 0, 0, "want <threshold>:<target>"},
+		{"0s:0.99", 0, 0, "not a positive duration"},
+		{"-5ms:0.99", 0, 0, "not a positive duration"},
+		{"fast:0.99", 0, 0, "not a positive duration"},
+		{"5ms:0", 0, 0, "not a fraction in (0,1)"},
+		{"5ms:1", 0, 0, "not a fraction in (0,1)"},
+		{"5ms:1.5", 0, 0, "not a fraction in (0,1)"},
+		{"5ms:-0.5", 0, 0, "not a fraction in (0,1)"},
+		{"5ms:most", 0, 0, "not a fraction in (0,1)"},
+	}
+	for _, c := range cases {
+		threshold, target, err := ParseObjective(c.spec)
+		if c.wantErr == "" {
+			if err != nil || threshold != c.threshold || target != c.target {
+				t.Errorf("ParseObjective(%q) = %v, %v, %v; want %v, %v, nil", c.spec, threshold, target, err, c.threshold, c.target)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ParseObjective(%q) error = %v, want one containing %q", c.spec, err, c.wantErr)
+		}
+		if threshold != 0 || target != 0 {
+			t.Errorf("ParseObjective(%q) = %v, %v alongside an error; want zeros", c.spec, threshold, target)
+		}
+	}
+}

@@ -38,22 +38,14 @@ type ClientOptions struct {
 	// RetryOverload is how many times the blocking ops (Get, Put,
 	// Delete, Scan, Apply) retry after cluster.ErrOverload, with
 	// doubling backoff (default 3). TryApply never retries — its callers
-	// want the shed signal.
+	// want the shed signal. Negative disables retries: a caller then
+	// sees every shed, and TestGoldenFrames records exactly one exchange
+	// per step.
 	RetryOverload int
-	// RetryBackoff is the first retry's sleep, doubling each attempt
-	// (default 1ms).
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the doubled per-attempt sleep (default 50ms),
-	// and the total time spent sleeping across one op's retries never
-	// exceeds Timeout — an overloaded server makes a request slow, not
-	// unboundedly slower than the timeout the caller asked for.
-	RetryBackoffMax time.Duration
 	// PingTimeout bounds one Ping round trip including any redial
 	// (default 1s). Pings fail fast by design: a prober sweeping dead
 	// members must not stall for DialTimeout on each.
 	PingTimeout time.Duration
-	// MaxFrame bounds accepted frame sizes (default DefaultMaxFrame).
-	MaxFrame int
 	// Spans, when non-nil, receives a root span for every traced call
 	// this client issues — the client-side end of the per-hop records
 	// the servers keep. Untraced calls never touch it.
@@ -70,6 +62,17 @@ type ClientOptions struct {
 	OnView func(view []byte)
 }
 
+const (
+	// retryBackoff is an overload retry's first sleep, doubling each
+	// attempt.
+	retryBackoff = time.Millisecond
+	// retryBackoffMax caps the doubled per-attempt sleep, and the total
+	// time spent sleeping across one op's retries never exceeds Timeout —
+	// an overloaded server makes a request slow, not unboundedly slower
+	// than the timeout the caller asked for.
+	retryBackoffMax = 50 * time.Millisecond
+)
+
 func (o *ClientOptions) normalize() {
 	if o.Conns <= 0 {
 		o.Conns = 1
@@ -85,17 +88,8 @@ func (o *ClientOptions) normalize() {
 	} else if o.RetryOverload == 0 {
 		o.RetryOverload = 3
 	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = time.Millisecond
-	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 50 * time.Millisecond
-	}
 	if o.PingTimeout <= 0 {
 		o.PingTimeout = time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
 	}
 }
 
@@ -151,7 +145,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	c := &Client{opts: opts, addr: addr, conns: make([]atomic.Pointer[clientConn], opts.Conns)}
 	deadline := time.Now().Add(opts.DialTimeout)
 	for i := 0; i < opts.Conns; i++ {
-		cc, err := dialConn(addr, deadline, opts.MaxFrame)
+		cc, err := dialConn(addr, deadline)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -161,7 +155,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 	return c, nil
 }
 
-func dialConn(addr string, deadline time.Time, maxFrame int) (*clientConn, error) {
+func dialConn(addr string, deadline time.Time) (*clientConn, error) {
 	var lastErr error
 	for {
 		remain := time.Until(deadline)
@@ -174,10 +168,9 @@ func dialConn(addr string, deadline time.Time, maxFrame int) (*clientConn, error
 		conn, err := net.DialTimeout("tcp", addr, remain)
 		if err == nil {
 			cc := &clientConn{
-				conn:     conn,
-				bw:       bufio.NewWriterSize(conn, 64<<10),
-				pending:  map[uint64]*waiter{},
-				maxFrame: maxFrame,
+				conn:    conn,
+				bw:      bufio.NewWriterSize(conn, 64<<10),
+				pending: map[uint64]*waiter{},
 			}
 			go cc.readLoop()
 			return cc, nil
@@ -236,8 +229,7 @@ func putTimer(t *time.Timer) {
 // clientConn is one pooled connection: a locked writer and a read loop
 // that resolves responses to waiters by frame id.
 type clientConn struct {
-	conn     net.Conn
-	maxFrame int
+	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
 	bw  *bufio.Writer
@@ -256,7 +248,7 @@ type clientConn struct {
 func (cc *clientConn) readLoop() {
 	br := bufio.NewReaderSize(cc.conn, 64<<10)
 	for {
-		id, op, f, err := readPooledFrame(br, cc.maxFrame)
+		id, op, f, err := readPooledFrame(br, DefaultMaxFrame)
 		if err != nil {
 			cc.fail(fmt.Errorf("transport: connection lost: %w", err))
 			return
@@ -458,7 +450,7 @@ func (c *Client) revive(slot int, budget time.Duration) (*clientConn, error) {
 	if cc := c.conns[slot].Load(); cc != nil && !cc.broken() {
 		return cc, nil // another caller already revived it
 	}
-	cc, err := dialConn(c.addr, time.Now().Add(budget), c.opts.MaxFrame)
+	cc, err := dialConn(c.addr, time.Now().Add(budget))
 	if err != nil {
 		return nil, err
 	}
@@ -571,13 +563,13 @@ func (c *Client) callFrame(ct callTrace, op Opcode, f *frame, reqBytes int, dial
 // withRetry runs fn, retrying on cluster.ErrOverload — and on
 // cluster.ErrWrongEpoch, whose retry re-stamps the epoch the view
 // bounce refreshed — with doubling backoff up to the configured attempt
-// budget. The per-attempt sleep is capped at RetryBackoffMax, and the
+// budget. The per-attempt sleep is capped at retryBackoffMax, and the
 // loop stops retrying once the elapsed wall clock (round trips +
 // sleeps) would exceed Timeout, so a caller sees at worst ~2x Timeout —
 // the budget-consuming attempt that was already in flight plus one
 // more — not attempts x Timeout.
 func (c *Client) withRetry(fn func() error) error {
-	backoff := c.opts.RetryBackoff
+	backoff := retryBackoff
 	start := time.Now()
 	for attempt := 0; ; attempt++ {
 		err := fn()
@@ -585,8 +577,8 @@ func (c *Client) withRetry(fn func() error) error {
 		if err == nil || !retryable || attempt >= c.opts.RetryOverload {
 			return err
 		}
-		if backoff > c.opts.RetryBackoffMax {
-			backoff = c.opts.RetryBackoffMax
+		if backoff > retryBackoffMax {
+			backoff = retryBackoffMax
 		}
 		if time.Since(start)+backoff > c.opts.Timeout {
 			return err // retry budget exhausted: surface the overload

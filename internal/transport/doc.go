@@ -20,7 +20,7 @@
 // Request pipelining: every frame carries a request id, connections are
 // never blocked on one outstanding request, and responses return in
 // completion order. The server bounds concurrently executing requests
-// (ServerOptions.MaxInFlight) and sheds the excess with an overload
+// (256 at once) and sheds the excess with an overload
 // frame that surfaces as cluster.ErrOverload at the client — the same
 // admission-control signal the in-process queues use — while the client
 // retries shed blocking ops with doubling backoff.

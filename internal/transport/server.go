@@ -126,25 +126,12 @@ type ServerOptions struct {
 	// Tasks, when non-nil, serves the analytics task plane (OpTaskSubmit
 	// / OpTaskStatus / OpShuffleFetch) alongside the KV data plane.
 	Tasks TaskHost
-	// MaxInFlight bounds concurrently executing requests across all
-	// connections (default 256). Requests beyond the bound are answered
-	// immediately with an overload frame — the wire form of the
-	// cluster's admission control, surfacing as cluster.ErrOverload at
-	// the client.
-	MaxInFlight int
-	// MaxFrame bounds accepted frame sizes (default DefaultMaxFrame).
-	MaxFrame int
-	// WriteTimeout bounds each response write (default 30s). A client
-	// that stops reading its responses trips it, breaking that
-	// connection instead of parking request goroutines — and the
-	// admission permits they hold — behind a full TCP buffer forever.
-	WriteTimeout time.Duration
 	// SlowRequest, when positive, records every request whose service
 	// time (admission wait + dispatch) reaches it into the slow-request
 	// log (Server.SlowLog), traced or not.
 	SlowRequest time.Duration
-	// TraceBuffer sizes the span and slow-request rings (default 256
-	// spans each).
+	// TraceBuffer sizes the span and slow-request rings (default
+	// DefaultTraceBuffer spans each).
 	TraceBuffer int
 	// Spans, when non-nil, is the span ring to record into instead of a
 	// private one. A daemon that hosts both a server and a cluster
@@ -161,18 +148,30 @@ type ServerOptions struct {
 	Events *obs.EventLog
 }
 
+// DefaultTraceBuffer is the span-ring capacity a server records into
+// unless ServerOptions.TraceBuffer says otherwise.
+const DefaultTraceBuffer = 256
+
+const (
+	// maxInFlight bounds concurrently executing requests across all
+	// connections. Requests beyond the bound are answered immediately
+	// with an overload frame — the wire form of the cluster's admission
+	// control, surfacing as cluster.ErrOverload at the client.
+	maxInFlight = 256
+	// writeTimeout bounds each response write. A client that stops
+	// reading its responses trips it, breaking that connection instead of
+	// parking request goroutines — and the admission permits they hold —
+	// behind a full TCP buffer forever.
+	writeTimeout = 30 * time.Second
+	// pageBudget is the payload a paged or shed response (scan page,
+	// shuffle chunk, fetch set) may fill: the frame limit less the header
+	// and a margin for the page's own framing.
+	pageBudget = DefaultMaxFrame - frameOverhead - 64
+)
+
 func (o *ServerOptions) normalize() {
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 256
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = DefaultMaxFrame
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
 	if o.TraceBuffer <= 0 {
-		o.TraceBuffer = 256
+		o.TraceBuffer = DefaultTraceBuffer
 	}
 }
 
@@ -229,7 +228,7 @@ func Serve(ln net.Listener, b Backend, opts ServerOptions) *Server {
 		ln:      ln,
 		backend: b,
 		opts:    opts,
-		tokens:  make(chan struct{}, opts.MaxInFlight),
+		tokens:  make(chan struct{}, maxInFlight),
 		conns:   map[net.Conn]struct{}{},
 		spans:   opts.Spans,
 		slow:    obs.NewSpanLog(opts.TraceBuffer),
@@ -444,7 +443,7 @@ func (s *Server) handle(conn net.Conn) {
 				continue // keep draining so request goroutines never block
 			}
 			s.metrics.bytesOut.Add(uint64(len(f.b)))
-			conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			_, err := bw.Write(f.b)
 			putFrame(f) // bufio copied the bytes; the frame is free
 			if err != nil {
@@ -459,13 +458,13 @@ func (s *Server) handle(conn net.Conn) {
 				}
 			}
 		}
-		conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		bw.Flush()
 	}()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		id, op, pf, err := readPooledFrame(br, s.opts.MaxFrame)
+		id, op, pf, err := readPooledFrame(br, DefaultMaxFrame)
 		if err != nil {
 			if errors.Is(err, ErrMalformed) || errors.Is(err, ErrFrameTooLarge) {
 				// The stream is unrecoverable (framing lost), but tell
@@ -668,19 +667,18 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		}
 		all := entries
 		// Bound the response to what the peer will accept: a frame over
-		// MaxFrame would kill the connection (and every pipelined
+		// the limit would kill the connection (and every pipelined
 		// request on it) instead of just shortening the page. A cut
 		// page is flagged `more` so the client paginates the remainder
 		// rather than mistaking it for end-of-range.
 		more := false
-		budget := s.opts.MaxFrame - frameOverhead - 64
 		size := 5
 		for i := range entries {
 			size += 8 + len(entries[i].Key) + len(entries[i].Value)
 			// Never truncate to zero: an empty page reads as
 			// end-of-keyspace to paginating callers. A single entry
-			// beyond MaxFrame fails loudly at the client instead.
-			if size > budget && i > 0 {
+			// beyond the frame limit fails loudly at the client instead.
+			if size > pageBudget && i > 0 {
 				entries = entries[:i]
 				more = true
 				break
@@ -722,10 +720,10 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		// the peer will kill the connection over.
 		_, msg := errorCode(aerr)
 		size := encodedResultsLen(res, msg)
-		if frameOverhead+size > s.opts.MaxFrame {
+		if frameOverhead+size > DefaultMaxFrame {
 			putBatch(sc, len(ops))
 			return errFrame(id,
-				fmt.Errorf("batch response of %d bytes exceeds the %d-byte frame limit; split the batch", frameOverhead+size, s.opts.MaxFrame))
+				fmt.Errorf("batch response of %d bytes exceeds the %d-byte frame limit; split the batch", frameOverhead+size, DefaultMaxFrame))
 		}
 		f := getFrame(frameOverhead + 4 + size)
 		f.b = beginResponse(f.b[:0], id, RespResults)
@@ -772,14 +770,13 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		}
 		// Page the partition under the frame budget, like scan pages: the
 		// client advances offset until a frame without `more` arrives.
-		budget := s.opts.MaxFrame - frameOverhead - 64
 		if int64(offset) > int64(len(data)) {
 			offset = uint32(len(data))
 		}
 		chunk := data[offset:]
 		more := false
-		if len(chunk) > budget {
-			chunk = chunk[:budget]
+		if len(chunk) > pageBudget {
+			chunk = chunk[:pageBudget]
 			more = true
 		}
 		f := getFrame(frameOverhead + 4 + 1 + len(chunk))
@@ -807,7 +804,7 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		if err != nil {
 			return errFrame(id, err)
 		}
-		return fetchFrame(s, id, RespSpans, s.spans.ByTrace(tid),
+		return fetchFrame(id, RespSpans, s.spans.ByTrace(tid),
 			func(spans []obs.Span) []byte { return EncodeSpans(nil, spans) })
 	case OpMetricsFetch:
 		// A snapshot walks every series once under the registry lock; a
@@ -816,11 +813,11 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 		if s.opts.Metrics != nil {
 			snap = s.opts.Metrics.Capture(s.Addr())
 		}
-		return fetchFrame(s, id, RespMetrics, snap.Fams, func(fams []obs.FamilySnapshot) []byte {
+		return fetchFrame(id, RespMetrics, snap.Fams, func(fams []obs.FamilySnapshot) []byte {
 			return obs.EncodeSnapshot(&obs.RegistrySnapshot{Node: snap.Node, Fams: fams})
 		})
 	case OpEventsFetch:
-		return fetchFrame(s, id, RespEvents, s.opts.Events.Events(), obs.EncodeEvents) // nil log → empty set
+		return fetchFrame(id, RespEvents, s.opts.Events.Events(), obs.EncodeEvents) // nil log → empty set
 	default:
 		return errFrame(id, ErrMalformed)
 	}
@@ -833,10 +830,9 @@ func (s *Server) dispatch(id uint64, tc traceCtx, op Opcode, payload []byte) *fr
 // timeline keeps its newest events, and a federation merge counts a
 // shed metric family as absent on this node. The fetch plane is a cold
 // path, so items are encoded once and copied into the frame.
-func fetchFrame[T any](s *Server, id uint64, resp Opcode, items []T, encode func([]T) []byte) *frame {
-	budget := s.opts.MaxFrame - frameOverhead - 64
+func fetchFrame[T any](id uint64, resp Opcode, items []T, encode func([]T) []byte) *frame {
 	enc := encode(items)
-	for len(enc) > budget && len(items) > 0 {
+	for len(enc) > pageBudget && len(items) > 0 {
 		items = items[1:]
 		enc = encode(items)
 	}

@@ -93,28 +93,27 @@ func TestTaskPlaneChunkedFetch(t *testing.T) {
 	host := newFakeHost()
 	cl := cluster.New(cluster.Config{Shards: 1})
 	defer cl.Close()
-	// A tiny frame cap makes even small partitions page.
-	srv, err := Listen("127.0.0.1:0", cl, ServerOptions{Tasks: host, MaxFrame: 256})
+	srv, err := Listen("127.0.0.1:0", cl, ServerOptions{Tasks: host})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(srv.Addr(), ClientOptions{MaxFrame: 256})
+	c, err := Dial(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	spec := bytes.Repeat([]byte("0123456789abcdef"), 8) // 128 B
+	spec := bytes.Repeat([]byte("0123456789abcdef"), 1<<16) // 1 MiB
 	id, err := c.SubmitTask(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := c.ShuffleFetch(id, 9) // 1280 B over ~190 B pages
+	data, err := c.ShuffleFetch(id, 16) // 17 MiB: more than one frame holds
 	if err != nil {
 		t.Fatalf("chunked ShuffleFetch: %v", err)
 	}
-	if want := bytes.Repeat(spec, 10); !bytes.Equal(data, want) {
+	if want := bytes.Repeat(spec, 17); !bytes.Equal(data, want) {
 		t.Fatalf("chunked fetch reassembled %d bytes, want %d", len(data), len(want))
 	}
 }

@@ -311,27 +311,40 @@ func TestRemoteNodeConformance(t *testing.T) {
 	}
 }
 
+// parkGets issues maxInFlight Gets through cl and returns once every
+// one of them holds an admission permit inside backend's onGet hook,
+// which must signal entered and then block. The returned channel yields
+// each parked Get's error once the hook lets it go.
+func parkGets(cl *Client, entered <-chan struct{}) <-chan error {
+	done := make(chan error, maxInFlight)
+	for i := 0; i < maxInFlight; i++ {
+		go func(i int) {
+			_, _, err := cl.Get([]byte(fmt.Sprintf("slow-%03d", i)))
+			done <- err
+		}(i)
+	}
+	for i := 0; i < maxInFlight; i++ {
+		<-entered
+	}
+	return done
+}
+
 // TestServerAdmissionControl pins the bounded in-flight behavior: with
-// MaxInFlight=1 and a request parked in the backend, the next request is
-// shed with cluster.ErrOverload instead of queueing.
+// maxInFlight requests parked in the backend, the next request is shed
+// with cluster.ErrOverload instead of queueing.
 func TestServerAdmissionControl(t *testing.T) {
 	backend := newShard(t, 1)
 	defer backend.Close()
 	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
+	entered := make(chan struct{}, maxInFlight)
 	hooked := &hookBackend{Backend: backend, onGet: func() {
 		entered <- struct{}{}
 		<-gate
 	}}
-	srv := startServer(t, hooked, ServerOptions{MaxInFlight: 1})
+	srv := startServer(t, hooked, ServerOptions{})
 	cl := dialT(t, srv.Addr(), ClientOptions{RetryOverload: -1}) // no retries: observe the shed
 
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := cl.Get([]byte("slow"))
-		done <- err
-	}()
-	<-entered // the slow request holds the only in-flight token
+	done := parkGets(cl, entered) // the slow requests hold every in-flight token
 	if _, _, err := cl.Get([]byte("fast")); !errors.Is(err, cluster.ErrOverload) {
 		t.Fatalf("Get under full admission = %v, want ErrOverload", err)
 	}
@@ -339,40 +352,39 @@ func TestServerAdmissionControl(t *testing.T) {
 		t.Fatal("shed counter not incremented")
 	}
 	close(gate)
-	if err := <-done; err != nil {
-		t.Fatalf("parked request failed: %v", err)
+	for i := 0; i < maxInFlight; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("parked request failed: %v", err)
+		}
 	}
-	hooked.setOnGet(nil)
 
-	// With retries enabled a shed request eventually lands once the
-	// token frees: park one request briefly, race a second against it.
+	// With retries enabled a shed request eventually lands once a token
+	// frees: hold every token, let one more request be shed, then
+	// release the parked ones.
 	gate2 := make(chan struct{})
-	var once sync.Once
 	hooked.setOnGet(func() {
-		once.Do(func() {
-			go func() {
-				time.Sleep(5 * time.Millisecond)
-				close(gate2)
-			}()
-		})
+		entered <- struct{}{}
 		<-gate2
 	})
-	cl2 := dialT(t, srv.Addr(), ClientOptions{RetryOverload: 50, RetryBackoff: time.Millisecond})
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	for _, key := range []string{"slow", "retry"} {
-		wg.Add(1)
-		go func(key string) {
-			defer wg.Done()
-			if _, _, err := cl2.Get([]byte(key)); err != nil {
-				errs <- fmt.Errorf("Get(%s): %w", key, err)
-			}
-		}(key)
+	cl2 := dialT(t, srv.Addr(), ClientOptions{RetryOverload: 50})
+	shedBefore := srv.Shed()
+	parked := parkGets(cl2, entered)
+	retried := make(chan error, 1)
+	go func() {
+		_, _, err := cl2.Get([]byte("retry"))
+		retried <- err
+	}()
+	for srv.Shed() == shedBefore {
+		time.Sleep(time.Millisecond)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatalf("retry path: %v", err)
+	close(gate2)
+	if err := <-retried; err != nil {
+		t.Fatalf("retry path: Get(retry): %v", err)
+	}
+	for i := 0; i < maxInFlight; i++ {
+		if err := <-parked; err != nil {
+			t.Fatalf("retry path: Get(slow): %v", err)
+		}
 	}
 }
 
@@ -479,23 +491,18 @@ func TestApplyBackpressureNotShed(t *testing.T) {
 	backend := newShard(t, 1)
 	defer backend.Close()
 	gate := make(chan struct{})
-	entered := make(chan struct{}, 4)
+	entered := make(chan struct{}, maxInFlight)
 	hooked := &hookBackend{Backend: backend, onGet: func() {
 		entered <- struct{}{}
 		<-gate
 	}}
-	srv := startServer(t, hooked, ServerOptions{MaxInFlight: 1})
-	// Two connections: the parked Get must not head-of-line-block the
+	srv := startServer(t, hooked, ServerOptions{})
+	// Two connections: the parked Gets must not head-of-line-block the
 	// Apply's own read loop.
 	clPark := dialT(t, srv.Addr(), ClientOptions{RetryOverload: -1})
 	clApply := dialT(t, srv.Addr(), ClientOptions{RetryOverload: -1})
 
-	parked := make(chan struct{})
-	go func() {
-		defer close(parked)
-		clPark.Get([]byte("slow"))
-	}()
-	<-entered // the Get holds the only permit
+	parked := parkGets(clPark, entered) // the Gets hold every permit
 
 	ops := []cluster.Op{{Kind: cluster.OpPut, Key: []byte("bp"), Value: []byte("v")}}
 	if _, err := clApply.TryApply(ops); !errors.Is(err, cluster.ErrOverload) {
@@ -515,29 +522,32 @@ func TestApplyBackpressureNotShed(t *testing.T) {
 	if err := <-applied; err != nil {
 		t.Fatalf("Apply after permit freed: %v", err)
 	}
-	<-parked
+	for i := 0; i < maxInFlight; i++ {
+		<-parked
+	}
 }
 
 // TestScanBoundsAndTruncation pins the scan safety rails: a negative
 // limit returns nothing (not a full-keyspace wrap), and a result set
-// far larger than the server's frame cap still comes back complete —
-// the server cuts pages to fit the frame limit and flags them `more`,
-// and the client paginates transparently. A short result therefore
-// always means the range is exhausted (no holes in k-way merges).
+// larger than the frame limit still comes back complete — the server
+// cuts pages to fit the frame limit and flags them `more`, and the
+// client paginates transparently. A short result therefore always means
+// the range is exhausted (no holes in k-way merges).
 func TestScanBoundsAndTruncation(t *testing.T) {
 	backend := newShard(t, 1)
 	defer backend.Close()
-	val := bytes.Repeat([]byte("x"), 1024)
+	// 64 values that together overflow one frame.
+	val := bytes.Repeat([]byte("x"), DefaultMaxFrame/64+16<<10)
 	for i := 0; i < 64; i++ {
 		backend.Put([]byte(fmt.Sprintf("big-%02d", i)), val)
 	}
-	srv := startServer(t, backend, ServerOptions{MaxFrame: 8 << 10})
-	cl := dialT(t, srv.Addr(), ClientOptions{MaxFrame: DefaultMaxFrame})
+	srv := startServer(t, backend, ServerOptions{})
+	cl := dialT(t, srv.Addr(), ClientOptions{})
 
 	if entries, err := cl.Scan(nil, -5); err != nil || len(entries) != 0 {
 		t.Fatalf("Scan(limit=-5) = %d entries, %v; want 0, nil", len(entries), err)
 	}
-	// 64 × 1KiB ≫ the 8KiB frame cap: forced through many `more` pages.
+	// 64 × 272 KiB > the 16 MiB frame limit: forced through `more` pages.
 	entries, err := cl.Scan(nil, 100)
 	if err != nil {
 		t.Fatalf("oversized scan: %v", err)
@@ -561,11 +571,11 @@ func TestScanBoundsAndTruncation(t *testing.T) {
 func TestMalformedFrameRejected(t *testing.T) {
 	backend := newShard(t, 1)
 	defer backend.Close()
-	srv := startServer(t, backend, ServerOptions{MaxFrame: 1 << 16})
+	srv := startServer(t, backend, ServerOptions{})
 	cl := dialT(t, srv.Addr(), ClientOptions{Timeout: time.Second})
 	// An oversized frame kills the stream; the in-flight request must
 	// resolve with a connection error, not hang.
-	huge := make([]byte, 1<<17)
+	huge := make([]byte, DefaultMaxFrame+1)
 	if err := cl.Put([]byte("k"), huge); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
@@ -633,29 +643,26 @@ func TestPingBypassesAdmission(t *testing.T) {
 	backend := newShard(t, 1)
 	defer backend.Close()
 	gate := make(chan struct{})
-	entered := make(chan struct{}, 1)
+	entered := make(chan struct{}, maxInFlight)
 	hooked := &hookBackend{Backend: backend, onGet: func() {
 		entered <- struct{}{}
 		<-gate
 	}}
-	srv := startServer(t, hooked, ServerOptions{MaxInFlight: 1})
+	srv := startServer(t, hooked, ServerOptions{})
 	cl := dialT(t, srv.Addr(), ClientOptions{RetryOverload: -1})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cl.Get([]byte("slow"))
-	}()
-	<-entered // the Get holds the only permit
+	done := parkGets(cl, entered) // the Gets hold every permit
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("ping under full admission = %v, want success", err)
 	}
 	close(gate)
-	<-done
+	for i := 0; i < maxInFlight; i++ {
+		<-done
+	}
 }
 
-// TestRetryBackoffBounded pins the backoff-cap satellite: a client
-// retrying a persistently overloaded server must bound each sleep by
-// RetryBackoffMax and the total sleep by Timeout, instead of doubling
+// TestRetryBackoffBounded pins the backoff cap: a client retrying a
+// persistently overloaded server must bound each sleep by
+// retryBackoffMax and the total sleep by Timeout, instead of doubling
 // without limit.
 func TestRetryBackoffBounded(t *testing.T) {
 	backend := newShard(t, 1)
@@ -663,14 +670,12 @@ func TestRetryBackoffBounded(t *testing.T) {
 	hooked := &hookBackend{Backend: backend}
 	hooked.setApply(func() error { return cluster.ErrOverload })
 	srv := startServer(t, hooked, ServerOptions{})
-	// 64 attempts of unbounded doubling from 4ms would sleep for
-	// centuries; with the cap and the Timeout budget the whole call must
-	// resolve in roughly Timeout.
+	// 64 attempts of unbounded doubling from retryBackoff would sleep
+	// for centuries; with the cap and the Timeout budget the whole call
+	// must resolve in roughly Timeout.
 	cl := dialT(t, srv.Addr(), ClientOptions{
-		Timeout:         100 * time.Millisecond,
-		RetryOverload:   64,
-		RetryBackoff:    4 * time.Millisecond,
-		RetryBackoffMax: 16 * time.Millisecond,
+		Timeout:       100 * time.Millisecond,
+		RetryOverload: 64,
 	})
 	start := time.Now()
 	_, err := cl.Apply([]cluster.Op{{Kind: cluster.OpPut, Key: []byte("k"), Value: []byte("v")}})

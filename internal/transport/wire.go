@@ -107,7 +107,7 @@ const (
 	// OpEventsFetch asks a node for the tail of its structured cluster
 	// event log (view commits, member suspect/down/dead, failovers,
 	// hint replay/drop, migration, compaction — obs.EncodeEvents owns
-	// the layout). Oldest events are shed under MaxFrame like spans.
+	// the layout). Oldest events are shed under the frame limit like spans.
 	OpEventsFetch Opcode = 0x10 // payload: empty
 )
 
