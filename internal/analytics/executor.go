@@ -355,12 +355,27 @@ func (e *Executor) runMap(ts TaskSpec) (*TaskResult, [][]byte, error) {
 		// Map-side combine within the task: per-word partial counts.
 		// Counts are integers, so combining is order-free and the reduce
 		// side's totals match the uncombined in-process engine exactly.
-		counts := map[string]int{}
+		// Lookups do not copy the token; a word's key is allocated on its
+		// first sight, and emission follows first-seen order.
+		slot := map[string]int{}
+		var words []string
+		var counts []int
 		for _, line := range lines {
-			tokenize(line, func(w []byte) { counts[string(w)]++ })
+			tokenize(line, func(w []byte) {
+				k, ok := slot[string(w)]
+				if !ok {
+					k = len(words)
+					words = append(words, string(w))
+					slot[words[k]] = k
+					counts = append(counts, 0)
+				}
+				counts[k]++
+			})
 		}
-		for w, n := range counts {
-			emitText([]byte(w), []byte(strconv.Itoa(n)))
+		var num []byte
+		for k, w := range words {
+			num = strconv.AppendInt(num[:0], int64(counts[k]), 10)
+			emitText([]byte(w), num)
 			outputRows++
 		}
 	case Grep:
@@ -490,7 +505,10 @@ func (e *Executor) runReduce(ts TaskSpec) (*TaskResult, error) {
 			default:
 				total := 0
 				for n := i; n < jj; n++ {
-					c, _ := strconv.Atoi(pairs[n].v)
+					c, err := strconv.Atoi(pairs[n].v)
+					if err != nil {
+						return nil, ErrRowCorrupt
+					}
 					total += c
 				}
 				out = AppendRow(out, []byte(k), []byte(strconv.Itoa(total)))

@@ -182,12 +182,7 @@ func kmeansCenters(j JobSpec) [][]float64 {
 // kmeansVectors regenerates vectors [lo,hi) from the partition-stable
 // generator.
 func kmeansVectors(j JobSpec, lo, hi int) [][]float64 {
-	centers := kmeansCenters(j)
-	out := make([][]float64, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, bdgs.StableVectorAt(centers, j.Seed, i))
-	}
-	return out
+	return bdgs.StableVectors(j.Seed, lo, hi, j.Dim, j.K)
 }
 
 // kmeansVectorAt regenerates one vector against the cached centers.

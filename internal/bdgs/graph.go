@@ -2,7 +2,7 @@ package bdgs
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RMATParams are the recursive-matrix edge-placement probabilities. They
@@ -67,10 +67,9 @@ func GenGraph(seed int64, scale, edgeFactor int, p RMATParams, directed bool) *G
 		g.edges++
 	}
 	if !directed {
-		for v := range g.Adj {
-			a := g.Adj[v]
-			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-			g.Adj[v] = dedup(a)
+		for v, a := range g.Adj {
+			slices.Sort(a)
+			g.Adj[v] = slices.Compact(a)
 		}
 	}
 	return g
@@ -93,19 +92,6 @@ func rmatEdge(r *rand.Rand, scale int, p RMATParams) (int, int) {
 		}
 	}
 	return u, v
-}
-
-func dedup(a []int32) []int32 {
-	if len(a) < 2 {
-		return a
-	}
-	out := a[:1]
-	for _, x := range a[1:] {
-		if x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // EdgeList flattens the graph to (src,dst) pairs, the on-disk format the

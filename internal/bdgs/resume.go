@@ -1,6 +1,7 @@
 package bdgs
 
 import (
+	"math/rand"
 	"strconv"
 	"strings"
 )
@@ -45,22 +46,27 @@ func (ResumeModel) Generate(seed int64, n int) []Resume {
 	r := rng(seed)
 	out := make([]Resume, n)
 	for i := range out {
-		nd := 1 + r.Intn(3)
-		ds := make([]string, nd)
-		for j := 0; j < nd; j++ {
-			ds[j] = degrees[j%len(degrees)] + " " + institutions[r.Intn(len(institutions))]
-		}
-		out[i] = Resume{
-			Key:          ResumeKey(i),
-			Name:         "person-" + strconv.Itoa(r.Intn(10*n)+1),
-			Institution:  institutions[skewIndex(r.Float64(), len(institutions))],
-			Title:        titles[skewIndex(r.Float64(), len(titles))],
-			Field:        fields[skewIndex(r.Float64(), len(fields))],
-			Degrees:      ds,
-			Publications: r.Intn(200),
-		}
+		out[i] = resumeAt(r, i, n)
 	}
 	return out
+}
+
+// resumeAt draws row i of a total-row table from r.
+func resumeAt(r *rand.Rand, i, total int) Resume {
+	nd := 1 + r.Intn(3)
+	ds := make([]string, nd)
+	for j := 0; j < nd; j++ {
+		ds[j] = degrees[j%len(degrees)] + " " + institutions[r.Intn(len(institutions))]
+	}
+	return Resume{
+		Key:          ResumeKey(i),
+		Name:         "person-" + strconv.Itoa(r.Intn(10*total)+1),
+		Institution:  institutions[skewIndex(r.Float64(), len(institutions))],
+		Title:        titles[skewIndex(r.Float64(), len(titles))],
+		Field:        fields[skewIndex(r.Float64(), len(fields))],
+		Degrees:      ds,
+		Publications: r.Intn(200),
+	}
 }
 
 // ResumeKey formats row key i in the store's zero-padded keyspace.

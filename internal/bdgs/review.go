@@ -51,24 +51,13 @@ func NewReviewModel(reviews int, text *TextModel) *ReviewModel {
 	return &ReviewModel{Users: users, Items: items, text: text}
 }
 
-// Generate produces n reviews, deterministic in seed.
+// Generate produces n reviews, deterministic in seed: the first n of
+// Stream(seed, wordsPerReview).
 func (m *ReviewModel) Generate(seed int64, n int, wordsPerReview int) []Review {
-	r := rng(seed)
-	zUser := rand.NewZipf(r, 1.3, 4, uint64(m.Users-1))
-	zItem := rand.NewZipf(r, 1.15, 4, uint64(m.Items-1))
-	s := m.text.newSampler(seed ^ 0x7ef1)
-	if wordsPerReview <= 0 {
-		wordsPerReview = 60
-	}
+	rs := m.Stream(seed, wordsPerReview)
 	out := make([]Review, n)
 	for i := range out {
-		rating := sampleRating(r)
-		out[i] = Review{
-			UserID: int32(zUser.Uint64()),
-			ItemID: int32(zItem.Uint64()),
-			Rating: rating,
-			Text:   m.reviewText(s, rating, wordsPerReview),
-		}
+		out[i] = rs.Next()
 	}
 	return out
 }

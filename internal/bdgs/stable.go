@@ -1,6 +1,10 @@
 package bdgs
 
-import "strconv"
+import (
+	"math/rand"
+	"slices"
+	"sync"
+)
 
 // Partition-stable generation.
 //
@@ -14,6 +18,10 @@ import "strconv"
 // into partitions or which workers generate which cut. This is the
 // property internal/analytics relies on for distributed-vs-local result
 // equality: every node regenerates exactly the records it owns.
+//
+// Each item's stream is rand.NewSource(itemSeed(...))'s bit for bit, drawn
+// from a lazily seeded itemSource that a range call reseeds per item;
+// TestStableGeneratorsGolden pins every generator's bytes.
 
 // itemSeed derives the per-item PRNG seed for item i of stream. The
 // stream constant separates item spaces (lines, edges, vectors, rows) so
@@ -40,23 +48,21 @@ const (
 // LinesAt generates text lines [lo,hi) of the record-oriented input
 // (compare Lines): each line is drawn from its own (seed, index)-derived
 // sampler, so the line at index i is identical whether the index space is
-// generated whole or in partitions of any size or order.
+// generated whole or in partitions of any size or order. Lines share
+// chunks, capacity-clipped so appending to one never overwrites the next.
 func (m *TextModel) LinesAt(seed int64, lo, hi, wordsPerLine int) [][]byte {
-	if hi < lo {
-		hi = lo
-	}
-	lines := make([][]byte, 0, hi-lo)
+	const chunk = 64 << 10
+	s := m.newSampler(itemRand())
+	lines := make([][]byte, 0, max(hi-lo, 0))
+	var buf []byte
 	for i := lo; i < hi; i++ {
-		s := m.newSampler(itemSeed(seed, streamLines, i))
-		var b []byte
-		k := 1 + s.r.Intn(wordsPerLine*2)
-		for j := 0; j < k; j++ {
-			if j > 0 {
-				b = append(b, ' ')
-			}
-			b = append(b, m.word(s.z)...)
+		s.r.Seed(itemSeed(seed, streamLines, i))
+		if cap(buf)-len(buf) < chunk/16 { // a line past 4 KiB reallocates, safely
+			buf = make([]byte, 0, chunk)
 		}
-		lines = append(lines, b)
+		st := len(buf)
+		buf = m.appendLine(s, wordsPerLine, buf)
+		lines = append(lines, buf[st:len(buf):len(buf)])
 	}
 	return lines
 }
@@ -68,12 +74,10 @@ func (m *TextModel) LinesAt(seed int64, lo, hi, wordsPerLine int) [][]byte {
 // index), so the union of any partitioning of [0, attempts) is always the
 // same edge multiset in the same index order.
 func StableEdges(seed int64, scale, edgeFactor int, p RMATParams, lo, hi int) [][2]int32 {
-	if hi < lo {
-		hi = lo
-	}
-	out := make([][2]int32, 0, hi-lo)
+	r := itemRand()
+	out := make([][2]int32, 0, max(hi-lo, 0))
 	for e := lo; e < hi; e++ {
-		r := rng(itemSeed(seed, streamEdges, e))
+		r.Seed(itemSeed(seed, streamEdges, e))
 		u, v := rmatEdge(r, scale, p)
 		if u == v {
 			continue
@@ -98,10 +102,9 @@ func StableGraph(seed int64, scale, edgeFactor int, p RMATParams, directed bool)
 		g.edges++
 	}
 	if !directed {
-		for v := range g.Adj {
-			a := g.Adj[v]
-			sortInt32(a)
-			g.Adj[v] = dedup(a)
+		for v, a := range g.Adj {
+			slices.Sort(a)
+			g.Adj[v] = slices.Compact(a)
 		}
 	}
 	return g
@@ -112,13 +115,12 @@ func StableGraph(seed int64, scale, edgeFactor int, p RMATParams, directed bool)
 // seed; each vector then draws its cluster choice and noise from its own
 // derived PRNG.
 func StableVectors(seed int64, lo, hi, dim, k int) [][]float64 {
-	if hi < lo {
-		hi = lo
-	}
 	centers := StableCenters(seed, dim, k)
-	out := make([][]float64, 0, hi-lo)
+	r := itemRand()
+	out := make([][]float64, 0, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
-		out = append(out, StableVectorAt(centers, seed, i))
+		r.Seed(itemSeed(seed, streamVectors, i))
+		out = append(out, vectorFrom(r, centers))
 	}
 	return out
 }
@@ -127,26 +129,18 @@ func StableVectors(seed int64, lo, hi, dim, k int) [][]float64 {
 // Callers generating many vectors one index at a time (the distributed
 // k-means reduce) compute them once and reuse them via StableVectorAt.
 func StableCenters(seed int64, dim, k int) [][]float64 {
-	r := rng(seed)
-	centers := make([][]float64, k)
-	for i := range centers {
-		c := make([]float64, dim)
-		for d := range c {
-			c[d] = r.Float64() * 100
-		}
-		centers[i] = c
-	}
-	return centers
+	return centersFrom(rng(seed), dim, k)
 }
+
+// vectorRands serves StableVectorAt, which the k-means reduce calls per row.
+var vectorRands = sync.Pool{New: func() any { return itemRand() }}
 
 // StableVectorAt generates vector i against precomputed centers.
 func StableVectorAt(centers [][]float64, seed int64, i int) []float64 {
-	r := rng(itemSeed(seed, streamVectors, i))
-	c := centers[r.Intn(len(centers))]
-	v := make([]float64, len(c))
-	for d := range v {
-		v[d] = c[d] + r.NormFloat64()*6
-	}
+	r := vectorRands.Get().(*rand.Rand)
+	r.Seed(itemSeed(seed, streamVectors, i))
+	v := vectorFrom(r, centers)
+	vectorRands.Put(r)
 	return v
 }
 
@@ -156,35 +150,11 @@ func StableVectorAt(centers [][]float64, seed int64, i int) []float64 {
 // generator does, so a row's content depends on (seed, index, total) but
 // never on the partitioning.
 func (ResumeModel) StableResumes(seed int64, lo, hi, total int) []Resume {
-	if hi < lo {
-		hi = lo
-	}
-	out := make([]Resume, 0, hi-lo)
+	r := itemRand()
+	out := make([]Resume, 0, max(hi-lo, 0))
 	for i := lo; i < hi; i++ {
-		r := rng(itemSeed(seed, streamResumes, i))
-		nd := 1 + r.Intn(3)
-		ds := make([]string, nd)
-		for j := 0; j < nd; j++ {
-			ds[j] = degrees[j%len(degrees)] + " " + institutions[r.Intn(len(institutions))]
-		}
-		out = append(out, Resume{
-			Key:          ResumeKey(i),
-			Name:         "person-" + strconv.Itoa(r.Intn(10*total)+1),
-			Institution:  institutions[skewIndex(r.Float64(), len(institutions))],
-			Title:        titles[skewIndex(r.Float64(), len(titles))],
-			Field:        fields[skewIndex(r.Float64(), len(fields))],
-			Degrees:      ds,
-			Publications: r.Intn(200),
-		})
+		r.Seed(itemSeed(seed, streamResumes, i))
+		out = append(out, resumeAt(r, i, total))
 	}
 	return out
-}
-
-// sortInt32 sorts ascending (insertion sort: adjacency lists are short).
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

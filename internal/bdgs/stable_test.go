@@ -2,6 +2,9 @@ package bdgs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -141,6 +144,29 @@ func TestStableVectorsPartitionInvariant(t *testing.T) {
 	}
 }
 
+// TestStableVectorAtParallelInvariant: one vector at a time from several
+// goroutines, as the k-means reduce draws them, must match the range
+// sweep — the pooled generators must not leak state between callers.
+func TestStableVectorAtParallelInvariant(t *testing.T) {
+	const n, dim, k = 300, 8, 4
+	whole := StableVectors(5, 0, n, dim, k)
+	centers := StableCenters(5, dim, k)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < n; i += 4 {
+				if v := StableVectorAt(centers, 5, i); !slices.Equal(v, whole[i]) {
+					t.Errorf("StableVectorAt(%d) = %v, want %v", i, v, whole[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestStableResumesPartitionInvariant: table rows must be identical
 // however the row space is cut.
 func TestStableResumesPartitionInvariant(t *testing.T) {
@@ -181,5 +207,55 @@ func TestStableSeedSensitivity(t *testing.T) {
 	}
 	if itemSeed(1, streamLines, 0) == itemSeed(1, streamEdges, 0) {
 		t.Fatal("stream tags do not separate item spaces")
+	}
+}
+
+// hashItems digests each item's %v form, one per line.
+func hashItems[T any](items []T) string {
+	h := sha256.New()
+	for _, it := range items {
+		fmt.Fprintf(h, "%v\n", it)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestStableGeneratorsGolden pins the bytes every partition-stable
+// generator yields. The hashes were recorded with per-item
+// rand.NewSource generators; the lazily seeded source must reproduce
+// them exactly, or distributed jobs and stored benchmark inputs drift.
+func TestStableGeneratorsGolden(t *testing.T) {
+	var m ResumeModel
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"LinesAt", hashItems(NewTextModel(30000).LinesAt(1, 0, 20000, 10)),
+			"8554d1d40f1c95f385505e28842227f0cdf67580f6efa333e7e3745966031a55"},
+		{"StableEdges", hashItems(StableEdges(1, 11, 6, WebGraphParams(), 0, 6<<11)),
+			"a96e74b6d3db268b642aff541a3fe2cf5731990838f509677edf7c4ce8c4e24e"},
+		{"StableVectors", hashItems(StableVectors(1, 0, 4096, 16, 8)),
+			"ea1661316d67c2802647e0c7332f90d53f95800a5de541e758bcb2efa51ddb4e"},
+		{"StableResumes", hashItems(m.StableResumes(1, 0, 2000, 2000)),
+			"2b782dc38106e801b97df1e175153fd095a5f22b902f96654ff8d88e774423e4"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: sha256 %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestStableLinesAllocsAndAliasing: LinesAt seeds one source per call,
+// not per line, and carves lines from shared chunks — so its
+// allocations are a small constant, and each line's capacity is clipped
+// so that appending to it cannot overwrite its neighbour.
+func TestStableLinesAllocsAndAliasing(t *testing.T) {
+	m := NewTextModel(30000)
+	if a := testing.AllocsPerRun(5, func() { m.LinesAt(1, 0, 1000, 10) }); a > 12 {
+		t.Errorf("LinesAt of 1000 lines: %.0f allocs, want <= 12", a)
+	}
+	lines := m.LinesAt(1, 0, 3, 10)
+	next := string(lines[1])
+	_ = append(lines[0], "overflow"...)
+	if string(lines[1]) != next {
+		t.Fatalf("appending to line 0 changed line 1 to %q, want %q", lines[1], next)
 	}
 }

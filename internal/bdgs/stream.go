@@ -16,7 +16,7 @@ import (
 // chunks, returning the bytes written. Unlike Corpus it never holds more
 // than one document in memory, so it scales to any volume.
 func (m *TextModel) StreamCorpus(w io.Writer, seed int64, totalBytes int64) (int64, error) {
-	s := m.newSampler(seed)
+	s := m.newSampler(rng(seed))
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var written int64
 	var doc []byte
@@ -99,7 +99,7 @@ func (m *ReviewModel) Stream(seed int64, wordsPerReview int) *ReviewStream {
 	ctl := rng(seed)
 	return &ReviewStream{
 		model:          m,
-		s:              m.text.newSampler(seed ^ 0x7ef1),
+		s:              m.text.newSampler(rng(seed ^ 0x7ef1)),
 		ctl:            ctl,
 		zUser:          rand.NewZipf(ctl, 1.3, 4, uint64(m.Users-1)),
 		zItem:          rand.NewZipf(ctl, 1.15, 4, uint64(m.Items-1)),

@@ -78,8 +78,7 @@ type sampler struct {
 	z *rand.Zipf
 }
 
-func (m *TextModel) newSampler(seed int64) sampler {
-	r := rng(seed)
+func (m *TextModel) newSampler(r *rand.Rand) sampler {
 	return sampler{r: r, z: rand.NewZipf(r, m.zipfS, m.zipfV, uint64(len(m.vocab)-1))}
 }
 
@@ -109,7 +108,7 @@ func (m *TextModel) document(s sampler, meanWords int, dst []byte) []byte {
 // Corpus generates approximately totalBytes of article text, returning the
 // concatenated documents. Generation is deterministic in (seed, totalBytes).
 func (m *TextModel) Corpus(seed int64, totalBytes int) []byte {
-	s := m.newSampler(seed)
+	s := m.newSampler(rng(seed))
 	out := make([]byte, 0, totalBytes+4096)
 	for len(out) < totalBytes {
 		out = m.document(s, 0, out)
@@ -121,26 +120,30 @@ func (m *TextModel) Corpus(seed int64, totalBytes int) []byte {
 // words each — the record-oriented input (e.g. for Sort and Grep) that the
 // BDGS format-conversion tools produce for Hadoop text inputs.
 func (m *TextModel) Lines(seed int64, n, wordsPerLine int) [][]byte {
-	s := m.newSampler(seed)
+	s := m.newSampler(rng(seed))
 	lines := make([][]byte, n)
 	for i := range lines {
-		var b []byte
-		k := 1 + s.r.Intn(wordsPerLine*2)
-		for j := 0; j < k; j++ {
-			if j > 0 {
-				b = append(b, ' ')
-			}
-			b = append(b, m.word(s.z)...)
-		}
-		lines[i] = b
+		lines[i] = m.appendLine(s, wordsPerLine, nil)
 	}
 	return lines
+}
+
+// appendLine draws one record of 1 to 2·wordsPerLine words onto dst.
+func (m *TextModel) appendLine(s sampler, wordsPerLine int, dst []byte) []byte {
+	k := 1 + s.r.Intn(wordsPerLine*2)
+	for j := 0; j < k; j++ {
+		if j > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, m.word(s.z)...)
+	}
+	return dst
 }
 
 // Pages generates n synthetic web pages (for Index and the Nutch server's
 // crawl corpus): each has a numeric page ID line, a title, and a body.
 func (m *TextModel) Pages(seed int64, n, bodyWords int) []Page {
-	s := m.newSampler(seed)
+	s := m.newSampler(rng(seed))
 	pages := make([]Page, n)
 	for i := range pages {
 		var title bytes.Buffer

@@ -1,5 +1,7 @@
 package bdgs
 
+import "math/rand"
+
 // Vectors generates n feature vectors of dimension dim drawn from k latent
 // Gaussian clusters — the K-means input. Real BigDataBench derives such
 // vectors from the social-network text via feature extraction; generating
@@ -8,6 +10,16 @@ package bdgs
 // realistic number of iterations rather than degenerating.
 func Vectors(seed int64, n, dim, k int) [][]float64 {
 	r := rng(seed)
+	centers := centersFrom(r, dim, k)
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = vectorFrom(r, centers)
+	}
+	return out
+}
+
+// centersFrom draws k latent cluster centers in [0,100)^dim.
+func centersFrom(r *rand.Rand, dim, k int) [][]float64 {
 	centers := make([][]float64, k)
 	for i := range centers {
 		c := make([]float64, dim)
@@ -16,14 +28,15 @@ func Vectors(seed int64, n, dim, k int) [][]float64 {
 		}
 		centers[i] = c
 	}
-	out := make([][]float64, n)
-	for i := range out {
-		c := centers[r.Intn(k)]
-		v := make([]float64, dim)
-		for d := range v {
-			v[d] = c[d] + r.NormFloat64()*6
-		}
-		out[i] = v
+	return centers
+}
+
+// vectorFrom draws one vector: a random center plus Gaussian noise.
+func vectorFrom(r *rand.Rand, centers [][]float64) []float64 {
+	c := centers[r.Intn(len(centers))]
+	v := make([]float64, len(c))
+	for d := range v {
+		v[d] = c[d] + r.NormFloat64()*6
 	}
-	return out
+	return v
 }
